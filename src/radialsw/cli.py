@@ -4,7 +4,6 @@ Commands: solve (plan summary), sample (field CSV), verify (conservation,
 entropy, weak-residual ladder), oracle (sticky-particle comparison CSV),
 example64 (closed forms of the nonconstant-speed front).  Exit codes:
 0 all checks pass, 1 a check failed, 2 configuration problem.
-RADIAL_SW_THREADS caps the sampling worker pool.
 """
 from __future__ import annotations
 
@@ -13,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -101,7 +99,7 @@ def load_scenario(path: str) -> Scenario:
     if not (t_max > 0):
         raise ConfigError("t_max must be positive")
     sample = raw.get("sample", {})
-    r_grid = _grid(sample.get("r", {"start": 0.1, "stop": 2.0 * data.R, "count": 21}), "r")
+    r_grid = _grid(sample.get("r", {"start": 0.1 * data.R, "stop": 2.0 * data.R, "count": 21}), "r")
     t_grid = _grid(sample.get("t", {"start": 0.0, "stop": t_max, "count": 11}), "t")
     if t_grid[-1] > t_max:
         raise ConfigError("t grid exceeds t_max")
@@ -128,15 +126,6 @@ def load_scenario(path: str) -> Scenario:
                         "example64_entropy"):
             raise ConfigError("unknown expected_fail entry %r" % name)
     return sc
-
-
-def _workers() -> int:
-    raw = os.environ.get("RADIAL_SW_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ConfigError("RADIAL_SW_THREADS must be an integer")
-    return max(1, k)
 
 
 def _describe_front(path) -> str:
@@ -189,36 +178,29 @@ def cmd_solve(sc: Scenario, out_dir: str) -> int:
     return 0
 
 
-def _sample_rows_at(plan: WavePlan, t: float, r_grid: np.ndarray) -> List[list]:
+def _sample_rows(plan: WavePlan, t_grid, r_grid) -> List[list]:
     rows = []
-    for r in r_grid:
-        s = exact.evaluate(plan, float(r), t)
-        atom = s.atom
-        rows.append([_fmt(s.r), _fmt(s.t), _fmt(s.rho), _fmt(s.u),
-                     "1" if s.is_vacuum else "0", _fmt(s.m0),
-                     _fmt(atom.radius if atom else None),
-                     _fmt(atom.sigma if atom else None),
-                     _fmt(atom.total_mass if atom else None)])
+    for t in map(float, t_grid):
+        for r in r_grid:
+            s = exact.evaluate(plan, float(r), t)
+            atom = s.atom
+            rows.append([_fmt(s.r), _fmt(s.t), _fmt(s.rho), _fmt(s.u),
+                         "1" if s.is_vacuum else "0", _fmt(s.m0),
+                         _fmt(atom.radius if atom else None),
+                         _fmt(atom.sigma if atom else None),
+                         _fmt(atom.total_mass if atom else None)])
     return rows
 
 
 def cmd_sample(sc: Scenario, out_dir: str) -> int:
     plan = exact.solve(sc.data, sc.t_max)
-    tasks = [float(t) for t in sc.t_grid]
-    workers = min(_workers(), len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda t: _sample_rows_at(plan, t, sc.r_grid), tasks))
-    else:
-        chunks = [_sample_rows_at(plan, t, sc.r_grid) for t in tasks]
+    rows = _sample_rows(plan, sc.t_grid, sc.r_grid)
     with open(os.path.join(out_dir, "samples.csv"), "w", encoding="utf-8",
               newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["r", "t", "rho", "u", "is_vacuum", "m0",
                     "atom_radius", "atom_sigma", "atom_total_mass"])
-        for chunk in chunks:
-            w.writerows(chunk)
+        w.writerows(rows)
     return 0
 
 
@@ -287,11 +269,7 @@ def cmd_verify(sc: Scenario, out_dir: str) -> int:
                 for w, o in sorted(report.order.items())))
     if sc.verify_example64:
         # the nonconstant-speed front is not dissipative at small times
-        ts = np.linspace(0.1, 5.0, 50)
-        xi, xid, _, rl, ul = sw_ode.nonentropic_example(ts)
-        worst = max(verify.entropy_lhs(float(rl[k]), float(ul[k]),
-                                       1.0 / float(xi[k]), 0.0, float(xid[k]))
-                    for k in range(ts.size))
+        worst = max(_example64_entropy(np.linspace(0.1, 5.0, 50))[1])
         record("example64_entropy", worst <= 1e-12, "max_lhs=%s" % _fmt(worst))
     with open(os.path.join(out_dir, "verify.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
@@ -322,9 +300,20 @@ def cmd_oracle(sc: Scenario, out_dir: str) -> int:
     return 0
 
 
+def _example64_entropy(ts):
+    """Closed forms (xi, xi_dot, sigma, rho_l, u_l) of the nonconstant-speed
+    front at times ts, and its dissipation cubic against the outer state
+    (1/xi, 0) at each time."""
+    xi, xid, sg, rl, ul = sw_ode.nonentropic_example(ts)
+    lhs = [verify.entropy_lhs(float(rl[k]), float(ul[k]),
+                              1.0 / float(xi[k]), 0.0, float(xid[k]))
+           for k in range(ts.size)]
+    return (xi, xid, sg, rl, ul), lhs
+
+
 def cmd_example64(sc: Scenario, out_dir: str) -> int:
     ts = np.linspace(0.1, 5.0, 99)
-    xi, xid, sg, rl, ul = sw_ode.nonentropic_example(ts)
+    (xi, xid, sg, rl, ul), lhs = _example64_entropy(ts)
     res1, res2 = sw_ode.ode_residual(
         sw_ode.nonentropic_example, sw_ode.nonentropic_outer_states, 2, ts,
         derivatives=sw_ode.nonentropic_derivatives)
@@ -333,10 +322,8 @@ def cmd_example64(sc: Scenario, out_dir: str) -> int:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "xi", "xi_dot", "sigma", "rho_l", "u_l", "entropy_lhs"])
         for k, t in enumerate(ts):
-            lhs = verify.entropy_lhs(float(rl[k]), float(ul[k]),
-                                     1.0 / float(xi[k]), 0.0, float(xid[k]))
             w.writerow([_fmt(t), _fmt(xi[k]), _fmt(xid[k]), _fmt(sg[k]),
-                        _fmt(rl[k]), _fmt(ul[k]), _fmt(lhs)])
+                        _fmt(rl[k]), _fmt(ul[k]), _fmt(lhs[k])])
     with open(os.path.join(out_dir, "example64.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write("front ODE residuals: res1=%s res2=%s\n" % (_fmt(res1), _fmt(res2)))
@@ -366,7 +353,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sc = load_scenario(args.config)
         out_dir = args.out if args.out is not None else sc.out_dir
         os.makedirs(out_dir, exist_ok=True)
-        _workers()
         return _COMMANDS[args.command](sc, out_dir)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -14,8 +14,8 @@ across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Optional, Protocol
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +169,19 @@ class FrontPath(Protocol):
 
     def state(self, t: float) -> FrontState: ...
 
+    def times_at(self, x: float, lo: float, hi: float) -> list:
+        """Sorted times t in [lo, hi] with xi(t) = x, in closed form."""
+
+
+def linear_times(x0: float, v: float, t0: float, x: float,
+                 lo: float, hi: float) -> list:
+    """The time in [lo, hi] where x0 + v (t - t0) = x, as a list of at most
+    one; a path at rest has no isolated crossing."""
+    if v == 0.0:
+        return []
+    t = t0 + (x - x0) / v
+    return [t] if lo <= t <= hi else []
+
 
 @dataclass(frozen=True)
 class LinearFront:
@@ -189,6 +202,9 @@ class LinearFront:
 
     def state(self, t):
         return FrontState(self.kind, self.xi(t), self.velocity, 0.0)
+
+    def times_at(self, x, lo, hi):
+        return linear_times(self.xi0, self.velocity, self.t0, x, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -219,6 +235,17 @@ class Phase:
 
     def p0(self, t):
         return self.p0_start + self.p0_slope * (t - self.t_start)
+
+    def region_index(self, r, t):
+        """Index into regions of the region holding radius r at time t: the
+        number of fronts with xi(t) <= r, so a front belongs to its outer
+        side.  Counting, unlike a sorted search, tolerates fronts out of
+        order by rounding."""
+        idx = 0
+        for f in self.fronts:
+            if f.xi(t) <= r:
+                idx += 1
+        return idx
 
 
 @dataclass(frozen=True)
@@ -322,7 +349,7 @@ class EpsFamily:
                 x = f.xi(t)
                 if abs(r - x) <= 0.5 * self.eps:
                     return f.sigma(t) / self.eps, f.speed(t)
-        prof = region_profile_at(ph, r, t)
+        prof = ph.regions[ph.region_index(r, t)]
         if prof.is_vacuum:
             return 0.0, 0.0
         return prof.coeff * r ** (1 - self.plan.data.n), prof.velocity
@@ -331,16 +358,6 @@ class EpsFamily:
         """(rho, rho*u, rho*u^2, rho*u^3) at a point."""
         rho, u = self.state(r, t)
         return rho, rho * u, rho * u * u, rho * u ** 3
-
-
-def region_profile_at(phase: Phase, r: float, t: float) -> RegionProfile:
-    """Profile of the region containing radius r (fronts belong to the
-    outer side: r < xi selects the inner region)."""
-    idx = 0
-    for f in phase.fronts:
-        if r >= f.xi(t):
-            idx += 1
-    return phase.regions[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.optimize import brentq
-
 from .core import (
     ALL_VACUUM, CASE_CONTACT, CONTACT, DELTA_SHOCK, SHADOW_WAVE, SHOCK,
     VACUUM_EDGE, VACUUM_FAN, VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK,
-    Atom, CaseTag, DegenerateDataError, DomainError, LinearFront,
+    Atom, CaseTag, DegenerateDataError, DomainError, FrontState, LinearFront,
     OutOfPhaseError, Phase, PlanRangeError, PreconditionError,
     PseudoRiemannData, RegionProfile, SolutionSample, WavePlan,
-    region_profile_at, surface_area,
+    linear_times, surface_area,
 )
 
 INF = math.inf
@@ -54,8 +52,10 @@ class ConstSpeedSW:
         return self.amp * t * self.xi(t) ** (1 - self.n)
 
     def state(self, t):
-        from .core import FrontState
         return FrontState(SHADOW_WAVE, self.xi(t), self.v0, self.sigma(t))
+
+    def times_at(self, x, lo, hi):
+        return linear_times(self.R, self.v0, 0.0, x, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,25 @@ class PostAbsorptionSW:
         return (2.0 * self.rho_r / self.C) * math.sqrt(self.C * t + self.D)
 
     def state(self, t):
-        from .core import FrontState
         return FrontState(SHADOW_WAVE, self.xi(t), self.speed(t), self.sigma(t))
+
+    def times_at(self, x, lo, hi):
+        """With s = sqrt(Ct+D), xi(t) = x reads u_r s^2 + 2 s + (C(E-x) -
+        u_r D) = 0; its roots come from the cancellation-free pair q/a,
+        c/q with q = -(1 + sqrt(1 - a c)), and only s >= sqrt(C lo + D)
+        lies on the path."""
+        a, c = self.u_r, self.C * (self.E - x) - self.u_r * self.D
+        disc = 1.0 - a * c
+        if disc < 0.0:
+            return []
+        q = -(1.0 + math.sqrt(disc))
+        s_lo = math.sqrt(self.C * lo + self.D)
+        times = []
+        for s in ((q / a, c / q) if a != 0.0 else (c / q,)):
+            t = (s * s - self.D) / self.C
+            if s >= s_lo and lo <= t <= hi and math.isfinite(t):
+                times.append(t)
+        return sorted(times)
 
 
 @dataclass(frozen=True)
@@ -202,8 +219,9 @@ def origin_hit_time(data: PseudoRiemannData) -> Optional[float]:
     """Time the shadow front reaches r = 0, if ever.
 
     u_l <= 0: the constant-speed front arrives at -R/v0.  u_l > 0 with
-    u_r < 0: smallest root t > t_in of xi(t) = 0 via the quadratic in
-    s = sqrt(Ct+D); bisection fallback guards against cancellation.
+    u_r < 0: the first root t > t_in of the post-absorption xi(t) = 0, a
+    quadratic in s = sqrt(Ct+D); a root beyond float range (u_r
+    subnormal) counts as never.
     """
     _require_delta_shock(data)
     if data.u_l <= 0:
@@ -214,33 +232,8 @@ def origin_hit_time(data: PseudoRiemannData) -> Optional[float]:
         return t if math.isfinite(t) else None
     if data.u_r >= 0:
         return None
-    f = _post_front(data)
-    ur, C, D, E = data.u_r, f.C, f.D, f.E
-    # u_r s^2 + 2 s + (EC - u_r D) = 0; positive branch since u_r < 0
-    disc = 1.0 - ur * (E * C - ur * D)
-    t_in = absorption_time(data)
-    t = None
-    if disc >= 0.0:
-        s = (1.0 + math.sqrt(disc)) / (-ur)
-        cand = (s * s - D) / C if math.isfinite(s) else math.inf
-        if math.isfinite(cand) and cand > t_in and abs(f.xi(cand)) <= 1e-9 * data.R:
-            t = cand
-    if t is None:
-        # expand a bracket past the turning point of xi and bisect; a hit
-        # beyond float range (u_r subnormal) counts as "never"
-        g = ur * ur
-        if g == 0.0:
-            return None
-        lo = max(t_in, (1.0 / g - D) / C)
-        if not math.isfinite(lo):
-            return None
-        hi = lo + max(1.0, data.R / -ur)
-        while math.isfinite(hi) and f.xi(hi) > 0:
-            hi *= 2.0
-        if not math.isfinite(hi):
-            return None
-        t = brentq(f.xi, lo, hi, xtol=1e-12 * data.R)
-    return t
+    roots = _post_front(data).times_at(0.0, absorption_time(data), INF)
+    return roots[0] if roots else None
 
 
 def origin_mass(plan: WavePlan, t: float) -> float:
@@ -441,10 +434,7 @@ def evaluate(plan: WavePlan, r: float, t: float) -> SolutionSample:
                 atom = Atom(x, sg, S * x ** (n - 1) * sg)
                 break
 
-    idx = 0
-    for f in phase.fronts:
-        if r >= f.xi(t):
-            idx += 1
+    idx = phase.region_index(r, t)
     prof = phase.regions[idx]
     if prof.is_vacuum:
         rho = 0.0

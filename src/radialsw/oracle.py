@@ -167,7 +167,16 @@ class ParticleSystem:
             else:
                 self._absorb(i, self.time)
         self.time = max(self.time, float(t_end))
-        return self
+        # the intercept form can round distinct neighbours onto one point
+        # (or past each other) with no event due; a zero gap is contact
+        while True:
+            idx = self.alive_indices()
+            x = self._a[idx] + self._u[idx] * self.time
+            touching = np.flatnonzero(np.diff(x) <= 0.0)
+            if touching.size == 0:
+                return self
+            for k in touching[::-1]:
+                self._merge(int(idx[k]), int(idx[k + 1]), self.time)
 
 
 def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:

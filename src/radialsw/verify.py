@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
-    ConservedPair, DomainError, EpsFamily, SHADOW_WAVE, UnsupportedRegionError,
-    WavePlan, jump_brackets, surface_area,
+    ConservedPair, DomainError, SHADOW_WAVE, UnsupportedRegionError,
+    WavePlan, jump_brackets, linear_times, surface_area,
 )
-from .exact_riemann import PostAbsorptionSW, second_root_speed
+from .exact_riemann import PostAbsorptionSW
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -45,13 +45,23 @@ def is_overcompressive(u0: float, v: float, u1: float) -> bool:
 
 def second_root_excluded(rho0: float, u0: float, rho1: float, u1: float) -> bool:
     """The second constant-speed root lies strictly outside
-    [min(u0,u1), max(u0,u1)] for every admissible datum."""
+    [min(u0,u1), max(u0,u1)] for every admissible datum.
+
+    Decided from the offsets v2 - u0 = sqrt(rho1) (u1 - u0) / g and
+    v2 - u1 = sqrt(rho0) (u1 - u0) / g, with g = sqrt(rho1) - sqrt(rho0)
+    = (rho1 - rho0) / (sqrt(rho0) + sqrt(rho1)), in exact rational
+    arithmetic on the doubles: v2 itself, rounded, can land on an endpoint
+    when u1 - u0 is an ulp (rho 1, 1/4 and u -2, -2 + 2^-52 give -2.0),
+    and sqrt(rho0) = sqrt(rho1) in doubles when rho0, rho1 differ by one."""
     if not (rho0 > 0 and rho1 > 0):
         raise DomainError("both densities must be positive")
     if rho0 == rho1 or u0 == u1:
         raise DomainError("second root undefined or coincident")
-    v2 = second_root_speed(rho0, u0, rho1, u1)
-    return v2 < min(u0, u1) or v2 > max(u0, u1)
+    a, b = Fraction(math.sqrt(rho0)), Fraction(math.sqrt(rho1))
+    g = (Fraction(rho1) - Fraction(rho0)) / (a + b)
+    du = Fraction(u1) - Fraction(u0)
+    off0, off1 = b * du / g, a * du / g
+    return (off0 > 0 and off1 > 0) or (off0 < 0 and off1 < 0)
 
 
 def rankine_hugoniot_degenerate(rho0: float, u0: float, rho1: float, u1: float) -> Optional[float]:
@@ -83,51 +93,48 @@ def _phase_geometry(plan: WavePlan, t: float, r_max: float):
     return ph, bounds
 
 
-def total_mass(plan: WavePlan, t: float, r_max: float,
-               boundary_correction: bool = True) -> float:
-    """Q(t) = m0 + regular power-law integrals + shadow-front atoms,
-    plus the constant outflow through r_max when enabled."""
+def _totals(plan: WavePlan, t: float, r_max: float,
+            boundary_correction: bool = True):
+    """(Q, M) in one pass: origin ledgers, regular power-law integrals and
+    shadow-front atoms, plus the constant outflow through r_max when
+    enabled."""
     ph, bounds = _phase_geometry(plan, t, r_max)
     n = plan.data.n
     S = surface_area(n)
-    Q = ph.m0(t)
+    Q, M = ph.m0(t), ph.p0(t)
     for reg, a, b in zip(ph.regions, bounds[:-1], bounds[1:]):
         if not reg.is_vacuum:
             Q += S * reg.coeff * (b - a)
+            M += S * reg.coeff * reg.velocity * (b - a)
     for f in ph.fronts:
         if f.kind == SHADOW_WAVE:
-            Q += S * f.xi(t) ** (n - 1) * f.sigma(t)
+            atom = S * f.xi(t) ** (n - 1) * f.sigma(t)
+            Q += atom
+            M += atom * f.speed(t)
     if boundary_correction:
         out = ph.regions[-1]
         if not out.is_vacuum:
             Q += S * out.coeff * out.velocity * t
-    return Q
+            M += S * out.coeff * out.velocity ** 2 * t
+    return Q, M
+
+
+def total_mass(plan: WavePlan, t: float, r_max: float,
+               boundary_correction: bool = True) -> float:
+    """Q(t) = m0 + regular power-law integrals + shadow-front atoms,
+    plus the constant outflow through r_max when enabled."""
+    return _totals(plan, t, r_max, boundary_correction)[0]
 
 
 def total_momentum(plan: WavePlan, t: float, r_max: float,
                    boundary_correction: bool = True) -> float:
     """M(t) = origin momentum tally + regular momentum + atom momentum,
     plus the constant momentum outflow through r_max when enabled."""
-    ph, bounds = _phase_geometry(plan, t, r_max)
-    n = plan.data.n
-    S = surface_area(n)
-    M = ph.p0(t)
-    for reg, a, b in zip(ph.regions, bounds[:-1], bounds[1:]):
-        if not reg.is_vacuum:
-            M += S * reg.coeff * reg.velocity * (b - a)
-    for f in ph.fronts:
-        if f.kind == SHADOW_WAVE:
-            M += S * f.xi(t) ** (n - 1) * f.sigma(t) * f.speed(t)
-    if boundary_correction:
-        out = ph.regions[-1]
-        if not out.is_vacuum:
-            M += S * out.coeff * out.velocity ** 2 * t
-    return M
+    return _totals(plan, t, r_max, boundary_correction)[1]
 
 
 def conserved_pair(plan: WavePlan, t: float, r_max: float) -> ConservedPair:
-    return ConservedPair(total_mass(plan, t, r_max),
-                         total_momentum(plan, t, r_max))
+    return ConservedPair(*_totals(plan, t, r_max))
 
 
 # ---------------------------------------------------------------------------
@@ -214,35 +221,19 @@ def composite_gl(f, breaks: Sequence[float]) -> float:
 _MOMENT_POWER = {"mass": 0, "momentum": 1, "entropy": 2}
 
 
-def _phase_curves(phase, eps):
-    """Discontinuity curves of the eps-realized family within one phase."""
-    curves = []
-    for f in phase.fronts:
-        if f.kind == SHADOW_WAVE:
-            curves.append(lambda t, f=f: f.xi(t) - 0.5 * eps)
-            curves.append(lambda t, f=f: f.xi(t) + 0.5 * eps)
-        else:
-            curves.append(lambda t, f=f: f.xi(t))
-    return curves
-
-
-def _scan_roots(fun, lo: float, hi: float, pts):
-    """Roots of fun on [lo, hi] by sign scan + brentq refinement."""
-    if hi - lo < 1e-13:
-        return
-    grid = np.linspace(lo, hi, 129)
-    vals = np.array([fun(t) for t in grid])
-    for k in range(len(grid) - 1):
-        va, vb = vals[k], vals[k + 1]
-        if va == 0.0:
-            pts.add(grid[k])
-        elif va * vb < 0.0:
-            pts.add(brentq(fun, grid[k], grid[k + 1], xtol=1e-13))
-    if vals[-1] == 0.0:
-        pts.add(hi)
+def _edges(front, eps):
+    """Offsets from xi of the discontinuities a front puts in the
+    eps-realized family: the strip edges of a shadow wave, else xi."""
+    return (-0.5 * eps, 0.5 * eps) if front.kind == SHADOW_WAVE else (0.0,)
 
 
 def _time_breakpoints(plan: WavePlan, eps: float, phi: TestFunction):
+    """Times where a discontinuity of the eps-realized family crosses an
+    r-edge of phi's support or another discontinuity, in closed form.
+
+    Within a phase only fronts of constant speed share it with others
+    (solve puts a PostAbsorptionSW alone in its phase), so every pair
+    crossing is one division."""
     pts = {phi.t_lo, phi.t_hi}
     for ph in plan.phases:
         lo = max(ph.t_start, phi.t_lo)
@@ -252,12 +243,15 @@ def _time_breakpoints(plan: WavePlan, eps: float, phi: TestFunction):
         for e in (ph.t_start, ph.t_end):
             if phi.t_lo < e < phi.t_hi:
                 pts.add(e)
-        curves = _phase_curves(ph, eps)
-        for c in curves:
+        curves = [(f, o) for f in ph.fronts for o in _edges(f, eps)]
+        for f, o in curves:
             for target in (phi.r_lo, phi.r_hi):
-                _scan_roots(lambda t, c=c: c(t) - target, lo, hi, pts)
-        for ca, cb in combinations(curves, 2):
-            _scan_roots(lambda t: ca(t) - cb(t), lo, hi, pts)
+                pts.update(f.times_at(target - o, lo, hi))
+        for (fa, oa), (fb, ob) in combinations(curves, 2):
+            if fa is not fb:
+                gap = fb.xi(lo) + ob - fa.xi(lo) - oa
+                pts.update(linear_times(0.0, fa.speed(lo) - fb.speed(lo), lo,
+                                        gap, lo, hi))
         for f in ph.fronts:
             if isinstance(f, PostAbsorptionSW) and f.u_r < 0:
                 t_turn = (f.u_r ** -2 - f.D) / f.C
@@ -278,12 +272,9 @@ def _inner_integral(plan: WavePlan, eps: float, phi: TestFunction,
         if f.kind == SHADOW_WAVE:
             strips.append((x - 0.5 * eps, x + 0.5 * eps,
                            f.sigma(t) / eps, f.speed(t)))
-            edges = (x - 0.5 * eps, x + 0.5 * eps)
-        else:
-            edges = (x,)
-        for e in edges:
-            if phi.r_lo < e < phi.r_hi:
-                breaks.add(e)
+        for o in _edges(f, eps):
+            if phi.r_lo < x + o < phi.r_hi:
+                breaks.add(x + o)
     breaks = sorted(breaks)
 
     acc = 0.0
@@ -302,11 +293,7 @@ def _inner_integral(plan: WavePlan, eps: float, phi: TestFunction,
         if rho_const is not None:
             rho = rho_const
         else:
-            idx = 0
-            for f in ph.fronts:
-                if rmid >= f.xi(t):
-                    idx += 1
-            reg = ph.regions[idx]
+            reg = ph.regions[ph.region_index(rmid, t)]
             if reg.is_vacuum or reg.coeff == 0.0:
                 continue
             rho = reg.coeff * rr ** (1 - n)

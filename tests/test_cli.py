@@ -89,12 +89,6 @@ def test_unknown_expected_fail_exits_2(tmp_path):
     assert run(tmp_path, "verify", cfg)[0] == 2
 
 
-def test_bad_thread_env_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("RADIAL_SW_THREADS", "many")
-    cfg = write_config(tmp_path)
-    assert run(tmp_path, "solve", cfg)[0] == 2
-
-
 def test_unknown_command_rejected(tmp_path):
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit):
@@ -182,6 +176,18 @@ def test_sample_columns_and_content(tmp_path):
     # off-front rows leave the atom columns empty
     row = next(r for r in rows if r["t"] == "0.5" and r["r"] == "1.5")
     assert row["atom_radius"] == "" and row["atom_sigma"] == ""
+
+
+def test_default_r_grid_is_valid_for_small_R(tmp_path):
+    data = dict(WORKED, R=0.01)
+    cfg = write_config(tmp_path, data=data)
+    assert run(tmp_path, "solve", cfg)[0] == 0
+    code, out = run(tmp_path, "sample", cfg)
+    assert code == 0
+    header, rows = sample_rows(out)
+    assert len(rows) == 21 * 11
+    radii = sorted({float(r["r"]) for r in rows})
+    assert radii[0] == pytest.approx(0.001) and radii[-1] == pytest.approx(0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +284,3 @@ def test_reruns_are_byte_identical(tmp_path):
             blobs.setdefault(fname, []).append((out / fname).read_bytes())
     for fname, (first, second) in blobs.items():
         assert first == second, fname
-
-
-def test_sampling_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path,
-                       sample={"r": {"start": 0.1, "stop": 2.0, "count": 17},
-                               "t": {"start": 0.0, "stop": 5.0, "count": 9}})
-    code, out = run(tmp_path, "sample", cfg, subdir="serial")
-    assert code == 0
-    serial = (out / "samples.csv").read_bytes()
-    monkeypatch.setenv("RADIAL_SW_THREADS", "4")
-    code, out = run(tmp_path, "sample", cfg, subdir="pooled")
-    assert code == 0
-    assert (out / "samples.csv").read_bytes() == serial

@@ -7,7 +7,7 @@ from radialsw.core import (
     Atom, DomainError, EpsFamily, FrontState, LinearFront, Phase,
     PlanRangeError, PseudoRiemannData, RegionProfile, SHADOW_WAVE, SHOCK,
     WavePlan, CaseTag, DELTA_SHOCK, jump_brackets, kappa_fluxes,
-    region_profile_at, surface_area,
+    surface_area,
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -98,6 +98,9 @@ def test_linear_front_path():
     assert f.sigma(3.0) == 0.0
     st_ = f.state(3.0)
     assert st_.kind == SHOCK and st_.xi == pytest.approx(1.0)
+    assert f.times_at(1.0, 0.0, 5.0) == [3.0]
+    assert f.times_at(1.0, 3.5, 5.0) == []
+    assert LinearFront(SHOCK, xi0=1.0, velocity=0.0).times_at(1.0, 0.0, 5.0) == []
 
 
 def _tiny_plan():
@@ -136,12 +139,12 @@ def test_m0_law_shape():
     assert law[1][2] == 1.0
 
 
-def test_region_profile_at_picks_outer_side_on_front():
+def test_region_index_picks_outer_side_on_front():
     plan = _tiny_plan()
     ph = plan.phase_at(0.5)
-    assert region_profile_at(ph, 0.5, 0.5).velocity == 1.0
-    assert region_profile_at(ph, 1.0, 0.5).velocity == -1.0  # on the front
-    assert region_profile_at(ph, 1.5, 0.5).velocity == -1.0
+    assert ph.regions[ph.region_index(0.5, 0.5)].velocity == 1.0
+    assert ph.regions[ph.region_index(1.0, 0.5)].velocity == -1.0  # on the front
+    assert ph.regions[ph.region_index(1.5, 0.5)].velocity == -1.0
 
 
 def test_eps_family_strip_and_moments():

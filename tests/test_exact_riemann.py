@@ -167,6 +167,31 @@ def test_origin_hit_time_examples():
     assert xr.origin_hit_time(data(u_l=2.0, u_r=1.0)) is None
 
 
+def test_origin_hit_time_on_cancellation_datum():
+    # 1 - u_r (CE - u_r D) cancels here; the 50-digit root is 1336092.99074064172
+    d = PseudoRiemannData(n=1, R=1.0860149515803998, rho_l=6111.177244764253,
+                          rho_r=0.0004025373404174065,
+                          u_l=0.0003356826261201586, u_r=-0.09107621258671562)
+    assert xr.origin_hit_time(d) == pytest.approx(1336092.99074064172, rel=1e-12)
+
+
+def test_origin_hit_time_beyond_float_range_is_none():
+    assert xr.origin_hit_time(data(u_l=1.0, u_r=-5e-324)) is None
+
+
+def test_post_absorption_times_at_matches_xi():
+    f = xr.solve(data(u_l=2.0, u_r=-0.5), 20.0).phases[1].fronts[0]
+    assert isinstance(f, xr.PostAbsorptionSW)
+    # xi rises to its maximum 2.5 at t = 5, then falls to 0 at t = 20
+    ts = f.times_at(2.0, 0.8, 20.0)
+    assert len(ts) == 2 and ts[0] < 5.0 < ts[1]
+    for t in ts:
+        assert f.xi(t) == pytest.approx(2.0, rel=1e-14)
+    assert f.times_at(2.0, 0.8, 5.0) == ts[:1]
+    assert f.times_at(2.6, 0.8, 20.0) == []
+    assert f.times_at(0.0, 0.8, math.inf) == [pytest.approx(20.0, rel=1e-14)]
+
+
 # ---------------------------------------------------------------------------
 # origin mass
 

@@ -44,6 +44,13 @@ def test_origin_absorption():
     assert ps.total_momentum() == 0.0
 
 
+def test_neighbours_rounded_onto_one_point_merge():
+    ps = orc.ParticleSystem(1, [0.05, 0.05000000000000001], [1, 1], [1, 1])
+    ps.run_until(1.0)
+    assert ps.radii().tolist() == [1.05]
+    assert ps.masses().tolist() == [2.0]
+
+
 def test_run_until_rejects_backwards():
     ps = orc.ParticleSystem(1, [1.0], [1.0], [0.0])
     ps.run_until(2.0)

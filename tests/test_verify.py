@@ -60,6 +60,14 @@ def test_second_root_excluded_examples():
         vf.second_root_excluded(0, 0, 4, 1)
 
 
+def test_second_root_excluded_at_ulp_gaps():
+    # the rounded second root equals u0 = -2.0 here
+    assert vf.second_root_excluded(1.0, -2.0, 0.25, -1.9999999999999998)
+    assert vf.second_root_excluded(3.0, 0.0, 0.05, 5e-324)
+    # sqrt(rho0) == sqrt(rho1) in doubles
+    assert vf.second_root_excluded(1.0, 0.0, 1.0000000000000002, 1.0)
+
+
 @given(rhos_pos, vels, rhos_pos, vels)
 @settings(max_examples=300, deadline=None)
 def test_second_root_always_outside_velocity_interval(rho0, u0, rho1, u1):
@@ -235,3 +243,16 @@ def test_default_test_function_properties():
     assert phi.value(phi.r_c, phi.t_c) == 1.0
     contact = xr.solve(PseudoRiemannData(2, 1.0, 1.0, 1.0, 0.5, 0.5), 4.0)
     assert vf.default_test_function(contact) is None
+
+
+def test_time_breakpoints_catch_two_crossings_near_turning_point():
+    # the post-absorption front peaks at xi = 2.5 at t = 5; the outer strip
+    # edge crosses r_hi twice, 2e-4 apart, inside one cell of a sign scan
+    plan = xr.solve(PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0,
+                                      u_l=2.0, u_r=-0.5), 20.0)
+    eps = 1e-2
+    r_hi = 2.5 + eps / 2 - 1e-9
+    phi = vf.TestFunction(r_c=r_hi - 0.3, t_c=5.0123, h_r=0.3, h_t=1.68)
+    tb = vf._time_breakpoints(plan, eps, phi)
+    for t_cross in (4.9998000020, 5.0002000020):
+        assert min(abs(t - t_cross) for t in tb) < 1e-9
