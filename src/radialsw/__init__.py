@@ -32,11 +32,13 @@ from .core import (
 )
 from .exact_riemann import (
     ConstSpeedSW,
+    GridSample,
     PostAbsorptionConstants,
     PostAbsorptionSW,
     absorption_time,
     classify,
     evaluate,
+    evaluate_grid,
     first_root_speed,
     origin_hit_time,
     origin_mass,

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -178,29 +179,45 @@ def cmd_solve(sc: Scenario, out_dir: str) -> int:
     return 0
 
 
-def _sample_rows(plan: WavePlan, t_grid, r_grid) -> List[list]:
-    rows = []
+def _sample_text(plan: WavePlan, t_grid, r_grid) -> str:
+    """The rows of samples.csv, one evaluate_grid slab per time.  Each
+    distinct value is formatted once, keyed by its bits so that -0.0 and
+    0.0 stay apart; fields never need CSV quoting."""
+    text = {}
+
+    def fmt_all(values) -> List[str]:
+        bits = np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
+        new = list(set(bits).difference(text))
+        text.update(zip(new, (_FMT % x for x in
+                              np.array(new, dtype=np.int64).view(float).tolist())))
+        return list(map(text.__getitem__, bits))
+
+    r_text = fmt_all(r_grid)
+    chunks = []
     for t in map(float, t_grid):
-        for r in r_grid:
-            s = exact.evaluate(plan, float(r), t)
-            atom = s.atom
-            rows.append([_fmt(s.r), _fmt(s.t), _fmt(s.rho), _fmt(s.u),
-                         "1" if s.is_vacuum else "0", _fmt(s.m0),
-                         _fmt(atom.radius if atom else None),
-                         _fmt(atom.sigma if atom else None),
-                         _fmt(atom.total_mass if atom else None)])
-    return rows
+        g = exact.evaluate_grid(plan, r_grid, t)
+        m0_text = "," + _fmt(g.m0) + ","
+        solid, vacuum = ",0" + m0_text + ",,\n", ",1" + m0_text + ",,\n"
+        flags = g.is_vacuum.tolist()
+        tails = [vacuum if v else solid for v in flags]
+        for j, a in enumerate(g.atoms):
+            if a is not None:
+                tails[j] = "%s%s%s,%s,%s\n" % (
+                    ",1" if flags[j] else ",0", m0_text, _fmt(a.radius),
+                    _fmt(a.sigma), _fmt(a.total_mass))
+        chunks.append("".join(map("".join, zip(
+            r_text, repeat("," + _fmt(t) + ","), fmt_all(g.rho), repeat(","),
+            fmt_all(g.u), tails))))
+    return "".join(chunks)
 
 
 def cmd_sample(sc: Scenario, out_dir: str) -> int:
     plan = exact.solve(sc.data, sc.t_max)
-    rows = _sample_rows(plan, sc.t_grid, sc.r_grid)
+    text = _sample_text(plan, sc.t_grid, sc.r_grid)
     with open(os.path.join(out_dir, "samples.csv"), "w", encoding="utf-8",
               newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["r", "t", "rho", "u", "is_vacuum", "m0",
-                    "atom_radius", "atom_sigma", "atom_total_mass"])
-        w.writerows(rows)
+        fh.write("r,t,rho,u,is_vacuum,m0,atom_radius,atom_sigma,"
+                 "atom_total_mass\n" + text)
     return 0
 
 

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -240,7 +242,15 @@ class Phase:
         """Index into regions of the region holding radius r at time t: the
         number of fronts with xi(t) <= r, so a front belongs to its outer
         side.  Counting, unlike a sorted search, tolerates fronts out of
-        order by rounding."""
+        order by rounding.  An ndarray r gives an int array of the same
+        shape.  A scalar r keeps a loop of plain ints (numpy scalars would
+        slow it threefold), behind an exact type test, the cheapest check
+        for the quadrature's per-panel calls."""
+        if type(r) is np.ndarray:
+            idx = np.zeros(r.shape, dtype=int)
+            for f in self.fronts:
+                idx += f.xi(t) <= r
+            return idx
         idx = 0
         for f in self.fronts:
             if f.xi(t) <= r:

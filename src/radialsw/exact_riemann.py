@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     ALL_VACUUM, CASE_CONTACT, CONTACT, DELTA_SHOCK, SHADOW_WAVE, SHOCK,
     VACUUM_EDGE, VACUUM_FAN, VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK,
@@ -25,7 +27,7 @@ from .core import (
 
 INF = math.inf
 
-# evaluate() reports the front atom within this relative distance of xi
+# evaluate_grid() reports the front atom within this relative distance of xi
 ATOM_POSITION_RTOL = 1e-9
 
 
@@ -397,52 +399,86 @@ def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
 # ---------------------------------------------------------------------------
 # Sampling
 
-def _vacuum_velocity(phase, idx, r, t):
-    """Sampling convenience inside vacuum: linear interpolation between the
-    bounding front speeds, the origin anchored at (position 0, speed 0)."""
-    if idx == 0:
-        x0, v0 = 0.0, 0.0
-    else:
-        f = phase.fronts[idx - 1]
-        x0, v0 = f.xi(t), f.speed(t)
-    if idx == len(phase.fronts):
-        return v0 if idx > 0 else 0.0
-    f = phase.fronts[idx]
-    x1, v1 = f.xi(t), f.speed(t)
-    if x1 <= x0:
-        return v1
-    return v0 + (v1 - v0) * (r - x0) / (x1 - x0)
+@dataclass(frozen=True)
+class GridSample:
+    """Field values at an array of radii and one time: arrays rho, u and
+    is_vacuum, the origin mass, and per point the front atom or None."""
+    rho: np.ndarray
+    u: np.ndarray
+    is_vacuum: np.ndarray
+    m0: float
+    atoms: list
 
 
-def evaluate(plan: WavePlan, r: float, t: float) -> SolutionSample:
-    """Sample the plan at (r, t): regular fields, origin mass, and the front
-    atom when r lies within tolerance of a shadow front."""
-    if r < 0:
+def evaluate_grid(plan: WavePlan, r, t: float) -> GridSample:
+    """Sample the plan at every radius of the 1-D array r and one time t:
+    regular fields, origin mass, and per point the front atom when the
+    radius lies within tolerance of a shadow front (the first such front).
+
+    The phase, the front positions and m0 are computed per call, not per
+    radius.  At r = 0 a power-law region gives rho = coeff for n = 1 and
+    inf for n >= 2 (the density coeff r^{1-n} is singular there), so
+    samples.csv then holds inf.  r^{1-n} is Python's float power per
+    radius, not numpy's, which differs from it by an ulp on some radii."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if (r < 0).any():
         raise DomainError("negative radius")
     if t < 0 or t > plan.t_max:
         raise PlanRangeError("t=%r outside [0, t_max=%r]" % (t, plan.t_max))
     phase = plan.phase_at(t)
-    n = plan.data.n
-    S = surface_area(n)
-
-    atom = None
-    for f in phase.fronts:
-        if f.kind == SHADOW_WAVE:
-            x = f.xi(t)
-            if abs(r - x) < ATOM_POSITION_RTOL * max(plan.data.R, x):
-                sg = f.sigma(t)
-                atom = Atom(x, sg, S * x ** (n - 1) * sg)
-                break
-
+    n, R = plan.data.n, plan.data.R
+    fronts, regions = phase.fronts, phase.regions
+    xs = [f.xi(t) for f in fronts]
     idx = phase.region_index(r, t)
-    prof = phase.regions[idx]
-    if prof.is_vacuum:
-        rho = 0.0
-        u = _vacuum_velocity(phase, idx, r, t)
-        vacuum = True
-    else:
-        rho = prof.coeff * r ** (1 - n) if r > 0 else (prof.coeff if n == 1 else INF)
-        u = prof.velocity
-        vacuum = False
-    return SolutionSample(r=r, t=t, rho=rho, u=u, is_vacuum=vacuum,
-                          m0=phase.m0(t), atom=atom)
+    is_vacuum = np.array([p.is_vacuum for p in regions])[idx]
+    coeff = np.array([p.coeff for p in regions])
+    rho = np.zeros(r.shape)
+    u = np.array([p.velocity for p in regions])[idx]
+    with np.errstate(all="ignore"):
+        positive = r > 0
+        pos = ~is_vacuum & positive
+        e = 1 - n
+        rho[pos] = coeff[idx[pos]] * np.array([x ** e for x in r[pos].tolist()])
+        at_origin = ~is_vacuum & ~positive
+        rho[at_origin] = coeff[idx[at_origin]] if n == 1 else INF
+        # vacuum: linear interpolation between the bounding front speeds,
+        # the origin anchored at (position 0, speed 0)
+        for k, prof in enumerate(regions):
+            if not prof.is_vacuum:
+                continue
+            inside = idx == k
+            if not inside.any():
+                continue
+            x0, v0 = (xs[k - 1], fronts[k - 1].speed(t)) if k > 0 else (0.0, 0.0)
+            if k == len(fronts):
+                u[inside] = v0
+                continue
+            x1, v1 = xs[k], fronts[k].speed(t)
+            if x1 <= x0:
+                u[inside] = v1
+            else:
+                u[inside] = v0 + (v1 - v0) * (r[inside] - x0) / (x1 - x0)
+
+        atoms = [None] * r.size
+        for f, x in zip(fronts, xs):
+            if f.kind != SHADOW_WAVE:
+                continue
+            hits = (np.abs(r - x) < ATOM_POSITION_RTOL * max(R, x)).nonzero()[0]
+            if hits.size:
+                sg = f.sigma(t)
+                atom = Atom(x, sg, surface_area(n) * x ** (n - 1) * sg)
+                for j in hits.tolist():
+                    if atoms[j] is None:
+                        atoms[j] = atom
+    return GridSample(rho=rho, u=u, is_vacuum=is_vacuum, m0=phase.m0(t),
+                      atoms=atoms)
+
+
+def evaluate(plan: WavePlan, r: float, t: float) -> SolutionSample:
+    """Sample the plan at one point (r, t): the one-point view of
+    evaluate_grid, with the same errors.  At r = 0 a power-law region gives
+    rho = coeff for n = 1 and inf for n >= 2."""
+    g = evaluate_grid(plan, [r], t)
+    return SolutionSample(r=r, t=t, rho=float(g.rho[0]), u=float(g.u[0]),
+                          is_vacuum=bool(g.is_vacuum[0]), m0=g.m0,
+                          atom=g.atoms[0])

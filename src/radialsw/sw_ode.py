@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import (
     DomainError, SingularStartError, SingularTrajectoryError, kappa_fluxes,
@@ -154,6 +153,9 @@ def integrate_front(ivp: FrontIVP, t_end: float, tol: float = 1e-10,
     sigma_zero.terminal = True
     sigma_zero.direction = -1
 
+    # imported here, its only use, so that the rest of the package loads
+    # without scipy (most of the import time of the package)
+    from scipy.integrate import solve_ivp
     out = solve_ivp(rhs, (t0, t_end), [xi0, speed0, sigma0], method="DOP853",
                     rtol=tol, atol=atol, dense_output=True,
                     events=(hit_origin, sigma_zero))

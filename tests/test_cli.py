@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -178,6 +181,70 @@ def test_sample_columns_and_content(tmp_path):
     assert row["atom_radius"] == "" and row["atom_sigma"] == ""
 
 
+# samples.csv digests recorded with the per-point sampler that preceded
+# evaluate_grid: every case kind, n = 1..4, r = 0 (inf rows), radii on a
+# front (atom rows), times in a vacuum fan and after absorption and the
+# origin dump, and a contact with u_l = 0.0, u_r = -0.0 ("0" and "-0" rows)
+GOLDEN_SAMPLES = [
+    ("worked_n2", WORKED, 5.0,
+     [0.0, 0.25, 0.5, 0.9494897427831779, 1.0, 1.5, 2.0, 3.0],
+     [0.0, 0.5, 1.5, 4.0, 4.5, 5.0],
+     "f38c1925c637b3fa399cadaa69215a69aa3d32515810633eb361458fdb67e4be"),
+    ("absorb_dump_n1",
+     dict(n=1, R=1.0, rho_l=1.0, rho_r=4.0, u_l=2.0, u_r=-1.0), 4.0,
+     {"start": 0.0, "stop": 3.0, "count": 31},
+     [0.0, 0.25, 0.5, 1.0, 2.7247448713915894, 3.5],
+     "d091093a11848d8e02efd068fa1763ed765c097178b02d8d91142bb4a28cb53d"),
+    ("absorb_no_hit_n4",
+     dict(n=4, R=1.5, rho_l=2.0, rho_r=0.5, u_l=1.0, u_r=0.25), 8.0,
+     [0.0, 0.5, 1.5, 1.875, 3.0, 6.371621004453466, 7.0],
+     [0.0, 0.5, 3.0, 6.5, 8.0],
+     "5feb9fa46efdce92e4cca73034ce247ae4a4d15087ac1de18c9852d84c70a0b1"),
+    ("inflow_hit_n3",
+     dict(n=3, R=2.0, rho_l=2.0, rho_r=0.5, u_l=-0.5, u_r=-1.5), 3.0,
+     [0.0, 0.5, 1.5833333333333335, 2.0, 3.0],
+     [0.0, 0.5, 2.0, 2.4000000000000004, 3.0],
+     "439d40460767b2271d7122d1195539aad375701d9e3c1692b2ac3570a141f80e"),
+    ("fan_n4", dict(n=4, R=1.0, rho_l=1.0, rho_r=2.0, u_l=-1.0, u_r=0.5), 2.0,
+     {"start": 0.0, "stop": 3.0, "count": 13}, [0.0, 0.5, 1.0, 1.5],
+     "063cccbef5cd47b06191bdcb0674e949e54ac337ae8a85e30b74173d234dfa9c"),
+    ("contact_signed_zero_n3",
+     dict(n=3, R=1.0, rho_l=2.0, rho_r=0.5, u_l=0.0, u_r=-0.0), 2.0,
+     [0.0, 0.5, 1.0, 2.0], [0.0, 1.0, 2.0],
+     "3e7af939a45ad737c7fcf42c33d67b2c968f34fd14218e225d8d31374a910c72"),
+    ("vacuum_left_n1",
+     dict(n=1, R=1.0, rho_l=0.0, rho_r=3.0, u_l=0.5, u_r=-0.5), 3.0,
+     [0.0, 0.5, 0.75, 1.0, 2.0], [0.0, 0.5, 2.5],
+     "042d5ca19a2df9e4f13afe7fddfa3824b6111956243aa9f5eea257b68561ef34"),
+    ("vacuum_right_n2",
+     dict(n=2, R=1.0, rho_l=2.0, rho_r=0.0, u_l=-0.5, u_r=0.5), 3.0,
+     [0.0, 0.5, 0.75, 1.5], [0.0, 0.5, 2.5],
+     "d9c66da5814a14af6b7e042e8c9b229b6dc448018b2f3417a01678e836be3a41"),
+    ("all_vacuum_n3",
+     dict(n=3, R=1.0, rho_l=0.0, rho_r=0.0, u_l=1.0, u_r=-1.0), 2.0,
+     [0.0, 1.0], [0.0, 1.0],
+     "d75aafb99ef29b522d8ef149471d7e1b58a8043fadcc6c93320852f3cff05435"),
+]
+
+
+@pytest.mark.parametrize("name, data, t_max, r, t, digest", GOLDEN_SAMPLES,
+                         ids=[g[0] for g in GOLDEN_SAMPLES])
+def test_sample_bytes_match_golden_digest(tmp_path, name, data, t_max, r, t,
+                                          digest):
+    cfg = write_config(tmp_path, data=data, t_max=t_max,
+                       sample={"r": r, "t": t})
+    code, out = run(tmp_path, "sample", cfg)
+    assert code == 0
+    assert hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest() == digest
+
+
+def test_negative_radius_exits_1_before_writing(tmp_path):
+    cfg = write_config(tmp_path, sample={"r": [-0.5, 0.5], "t": [0.0, 1.0]})
+    code, out = run(tmp_path, "sample", cfg)
+    assert code == 1
+    assert not (out / "samples.csv").exists()
+
+
 def test_default_r_grid_is_valid_for_small_R(tmp_path):
     data = dict(WORKED, R=0.01)
     cfg = write_config(tmp_path, data=data)
@@ -268,6 +335,20 @@ def test_example64_outputs(tmp_path):
     text = (out / "example64.txt").read_text(encoding="utf-8")
     assert "front ODE residuals" in text
     assert "changes sign near t=1.108" in text
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only by the front ODE integrator, when it runs
+    code = ("import sys, radialsw.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -145,6 +146,20 @@ def test_region_index_picks_outer_side_on_front():
     assert ph.regions[ph.region_index(0.5, 0.5)].velocity == 1.0
     assert ph.regions[ph.region_index(1.0, 0.5)].velocity == -1.0  # on the front
     assert ph.regions[ph.region_index(1.5, 0.5)].velocity == -1.0
+    # an array of radii gives the scalar answer at each radius; the second
+    # phase has two fronts one ulp out of order, which counting still sorts
+    hi, lo = 1.0, math.nextafter(1.0, 0.0)
+    left, right = ph.regions
+    gap = RegionProfile.vacuum()
+    skew = Phase(0.0, 1.0,
+                 (LinearFront(SHOCK, hi, 0.0), LinearFront(SHOCK, lo, 0.0)),
+                 (left, gap, right))
+    radii = np.array([0.5, lo, hi, math.nextafter(hi, 2.0), 1.5])
+    for phase in (ph, skew):
+        got = phase.region_index(radii, 0.5)
+        assert got.tolist() == [phase.region_index(float(r), 0.5) for r in radii]
+    assert skew.region_index(radii, 0.5).tolist() == [0, 1, 2, 2, 2]
+    assert Phase(0.0, 1.0, (), (left,)).region_index(radii, 0.5).tolist() == [0] * 5
 
 
 def test_eps_family_strip_and_moments():

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -289,6 +291,71 @@ def test_evaluate_range_checks():
         xr.evaluate(plan, -0.5, 1.0)
     with pytest.raises(PlanRangeError):
         xr.evaluate(plan, 1.0, 6.5)
+
+
+def test_evaluate_grid_range_checks():
+    plan = xr.solve(WORKED, 6.0)
+    with pytest.raises(DomainError):
+        xr.evaluate_grid(plan, np.array([0.5, 1.0, -1e-300]), 1.0)
+    with pytest.raises(PlanRangeError):
+        xr.evaluate_grid(plan, np.array([0.5, 1.0]), 6.5)
+    with pytest.raises(PlanRangeError):
+        xr.evaluate_grid(plan, np.array([0.5, 1.0]), -0.5)
+
+
+@pytest.mark.parametrize("n, at_origin", [(1, 2.0), (3, math.inf)])
+def test_density_at_origin(n, at_origin):
+    # r = 0 in a power-law region: rho = coeff for n = 1, inf for n >= 2
+    plan = xr.solve(data(n=n, rho_l=2.0, u_l=-1.0, u_r=-2.0), 2.0)
+    s = xr.evaluate(plan, 0.0, 0.2)   # the front is at 1 - sqrt(2) t
+    assert not s.is_vacuum and s.rho == at_origin and s.u == -1.0
+    g = xr.evaluate_grid(plan, np.array([0.0, 0.5]), 0.2)
+    assert g.rho[0] == at_origin and not g.is_vacuum[0]
+    assert g.rho[1] == 2.0 * 0.5 ** (1 - n)
+
+
+def test_evaluate_grid_matches_fields_and_atoms():
+    plan = xr.solve(WORKED, 6.0)
+    g = xr.evaluate_grid(plan, np.array([0.25, 0.7, 1.0, 1.5]), 0.5)
+    assert g.is_vacuum.tolist() == [True, False, False, False]
+    assert g.u.tolist() == [0.5, 1.0, -1.0, -1.0]   # fan speed r/t, then regions
+    assert g.rho[1] == 1.0 / 0.7 and g.rho[3] == 1.0 / 1.5
+    assert g.atoms[:2] == [None, None] and g.atoms[3] is None
+    assert g.atoms[2].radius == 1.0
+    assert g.atoms[2].sigma == pytest.approx(1.0, rel=1e-14)
+    assert g.m0 == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluate_grid_density_bits_match_python_power(n):
+    # numpy's power differs from Python's float ** by an ulp on some radii
+    plan = xr.solve(data(n=n, rho_l=2.0, rho_r=3.0), 6.0)
+    radii = np.linspace(0.01, 3.0, 2001)
+    g = xr.evaluate_grid(plan, radii, 0.0)
+    ph = plan.phase_at(0.0)
+    expected = [ph.regions[ph.region_index(r, 0.0)].coeff * r ** (1 - n)
+                for r in radii.tolist()]
+    assert g.rho.tolist() == expected
+
+
+def test_evaluate_grid_silent_on_overflow_and_vacuum():
+    # Python's float arithmetic overflows to inf silently; so must the grid
+    plan = xr.solve(data(rho_l=1e300, rho_r=1e300, u_l=-1.0, u_r=1.0), 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = xr.evaluate_grid(plan, np.array([0.0, 1e-10, 1.0, 1.5, math.inf]), 0.5)
+    assert g.rho[:2].tolist() == [math.inf, math.inf]
+    assert g.is_vacuum.tolist() == [False, False, True, False, False]
+
+
+def test_evaluate_grid_needs_sigma_only_on_an_atom():
+    # at t = 3.6 the front sits at xi = 0.0 exactly, one ulp before the
+    # origin hit; sigma (xi^{1-n}) is undefined there, and no radius hits it
+    plan = xr.solve(data(R=3.0, rho_l=2.0, rho_r=0.5, u_l=-0.5, u_r=-1.5), 4.0)
+    front = plan.phase_at(3.6).fronts[0]
+    assert front.kind == SHADOW_WAVE and front.xi(3.6) == 0.0
+    g = xr.evaluate_grid(plan, np.array([0.5, 1.0, 2.0]), 3.6)
+    assert g.atoms == [None, None, None]
 
 
 # ---------------------------------------------------------------------------
