@@ -279,7 +279,7 @@ def cmd_verify(sc: Scenario, out_dir: str) -> int:
             lines.append("check weak_ladder PASS no delta front")
         else:
             report = verify.residual_ladder(plan, phi)
-            ok = all(not np.isfinite(o) or o >= 0.9
+            ok = all(not np.isfinite(o) or o >= verify.LADDER_ORDER_GATE
                      for o in report.order.values())
             record("weak_ladder", ok, " ".join(
                 "%s_order=%s" % (w, _fmt(o))

@@ -185,6 +185,14 @@ def linear_times(x0: float, v: float, t0: float, x: float,
     return [t] if lo <= t <= hi else []
 
 
+def _path_at(fn, t):
+    """fn(t) for a float t, else fn at each element of the array t; front
+    paths take floats (PostAbsorptionSW uses math.sqrt)."""
+    if np.ndim(t) == 0:
+        return fn(t)
+    return np.array([fn(s) for s in np.ravel(t).tolist()]).reshape(np.shape(t))
+
+
 @dataclass(frozen=True)
 class LinearFront:
     """Shock / contact / vacuum edge moving at constant speed."""
@@ -242,19 +250,11 @@ class Phase:
         """Index into regions of the region holding radius r at time t: the
         number of fronts with xi(t) <= r, so a front belongs to its outer
         side.  Counting, unlike a sorted search, tolerates fronts out of
-        order by rounding.  An ndarray r gives an int array of the same
-        shape.  A scalar r keeps a loop of plain ints (numpy scalars would
-        slow it threefold), behind an exact type test, the cheapest check
-        for the quadrature's per-panel calls."""
-        if type(r) is np.ndarray:
-            idx = np.zeros(r.shape, dtype=int)
-            for f in self.fronts:
-                idx += f.xi(t) <= r
-            return idx
-        idx = 0
+        order by rounding.  r and t are floats or arrays that broadcast;
+        the result is an int array of their shape (0-d for floats)."""
+        idx = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(t)), dtype=int)
         for f in self.fronts:
-            if f.xi(t) <= r:
-                idx += 1
+            idx += _path_at(f.xi, t) <= r
         return idx
 
 
@@ -351,18 +351,38 @@ class EpsFamily:
         if not (self.eps > 0):
             raise DomainError("eps must be positive")
 
-    def state(self, r: float, t: float):
-        """(rho, u) of the realized family at a point; vacuum gives (0, 0)."""
-        ph = self.plan.phase_at(t)
-        for f in ph.fronts:
+    def profile(self, r, t):
+        """The one strip rule, as arrays (c, u, strip) at radii r (an
+        array) and times t (a float, or an array broadcasting with r, all
+        in one phase).  Inside a strip [xi - eps/2, xi + eps/2] (ends
+        included; where strips overlap, the innermost front's) strip is
+        True, c = sigma/eps is the density and u the front speed; elsewhere
+        c is the region's coefficient (density c r^{1-n}) and u its
+        velocity, both 0 in vacuum."""
+        ph = self.plan.phase_at(float(np.min(t)))
+        if np.max(t) >= ph.t_end:
+            raise DomainError("times span more than one phase")
+        live = [(0.0, 0.0) if p.is_vacuum else (p.coeff, p.velocity)
+                for p in ph.regions]
+        c, u = np.array(live).T[:, ph.region_index(r, t)]
+        strip = np.zeros(c.shape, dtype=bool)
+        h = 0.5 * self.eps
+        for f in reversed(ph.fronts):
             if f.kind == SHADOW_WAVE:
-                x = f.xi(t)
-                if abs(r - x) <= 0.5 * self.eps:
-                    return f.sigma(t) / self.eps, f.speed(t)
-        prof = ph.regions[ph.region_index(r, t)]
-        if prof.is_vacuum:
-            return 0.0, 0.0
-        return prof.coeff * r ** (1 - self.plan.data.n), prof.velocity
+                x = _path_at(f.xi, t)
+                hit = (x - h <= r) & (r <= x + h)
+                c = np.where(hit, _path_at(f.sigma, t) / self.eps, c)
+                u = np.where(hit, _path_at(f.speed, t), u)
+                strip |= hit
+        return c, u, strip
+
+    def state(self, r, t: float):
+        """(rho, u) of the realized family at radius r, a float or an
+        array, at time t; vacuum gives (0, 0)."""
+        rr = np.asarray(r, dtype=float)
+        c, u, strip = self.profile(rr, t)
+        rho = np.where(strip, c, c * rr ** (1 - self.plan.data.n))
+        return (float(rho), float(u)) if rr.ndim == 0 else (rho, u)
 
     def moments(self, r: float, t: float):
         """(rho, rho*u, rho*u^2, rho*u^3) at a point."""

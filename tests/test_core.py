@@ -176,6 +176,35 @@ def test_eps_family_strip_and_moments():
     m = fam.moments(1.2, 0.5)
     assert m[1] == pytest.approx(rho_out * u_out)
     assert m[3] == pytest.approx(rho_out * u_out ** 3)
+    # the array form is the scalar rule at each point: strip interiors, both
+    # strip ends (inclusive), one ulp outside them, regular regions and the
+    # inner vacuum, in the constant-speed and the post-absorption phase
+    h = 0.5 * fam.eps
+    for t in (0.5, 2.0):
+        front = plan.phase_at(t).fronts[-1]
+        x = front.xi(t)
+        ends = (x - h, x + h)
+        beyond = (np.nextafter(x - h, 0.0), np.nextafter(x + h, 9.0))
+        radii = np.array((x, x - 0.3 * h, *ends, *beyond, x + 0.2, 0.1))
+        rho, u = fam.state(radii, t)
+        assert rho.shape == u.shape == radii.shape
+        for k, r in enumerate(radii.tolist()):
+            assert (rho[k], u[k]) == fam.state(r, t)
+        in_strip = (front.sigma(t) / fam.eps, front.speed(t))
+        for r in (x, *ends):
+            assert fam.state(r, t) == in_strip
+        for r in beyond:
+            assert fam.state(r, t)[0] < 0.5 * in_strip[0]
+        assert fam.state(0.1, t) == (0.0, 0.0)  # inner vacuum
+    # per-point times within one phase: each row is its own time
+    times = np.array([[0.3], [0.5], [0.7]])
+    c, u, strip = fam.profile(np.tile(radii, (3, 1)), times)
+    for k, t in enumerate(times[:, 0]):
+        ck, uk, sk = fam.profile(radii, float(t))
+        assert c[k].tolist() == ck.tolist() and u[k].tolist() == uk.tolist()
+        assert strip[k].tolist() == sk.tolist()
+    with pytest.raises(DomainError):
+        fam.profile(radii[:2], np.array([0.5, 1.5]))
     with pytest.raises(DomainError):
         EpsFamily(plan, eps=0.0)
 

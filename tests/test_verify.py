@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -196,6 +197,79 @@ def test_weak_residual_ladder_on_front():
     assert rep.eps == tuple(sorted(rep.eps, reverse=True))
     assert rep.order["mass"] >= 0.9
     assert rep.order["momentum"] >= 0.9
+
+
+# two delta-shock data and their residual_ladder residuals with the default
+# test function and ladder (eps = 1e-2 ... 1e-2/64), recorded with the
+# per-node quadrature that preceded the time-panel batching
+LADDER_DATA = {
+    "worked": (WORKED, {
+        "mass": (-0.00034884148941928918, -8.7241745086538054e-05,
+                 -2.1812397395041242e-05, -5.4532219600668798e-06,
+                 -1.3633131318010852e-06, -3.408288399550291e-07,
+                 -8.5207123432487134e-08),
+        "momentum": (0.0024354482581314539, 0.0012187166469597626,
+                     0.0006094824349000764, 0.00030475673283675102,
+                     0.00015238030588729843, 7.6190395378682337e-05,
+                     3.8095227993931711e-05),
+        "entropy": (-0.48708965162629636, -0.48748665878390984,
+                    -0.48758594792005322, -0.4876107725386547,
+                    -0.48761697883922189, -0.48761853042348352,
+                    -0.48761891832011894)}),
+    "n1": (PseudoRiemannData(n=1, R=1.0, rho_l=1.0, rho_r=3.0,
+                             u_l=-0.5, u_r=-1.5), {
+        "mass": (-0.00012307386973032321, -3.0779395099535192e-05,
+                 -7.6955318886407651e-06, -1.9239256659010645e-06,
+                 -4.8098409465483899e-07, -1.2024619192703003e-07,
+                 -3.0061571537547848e-08),
+        "momentum": (0.00013956264173216351, 3.4903052129997125e-05,
+                     8.7265376660371715e-06, 2.1816828301689339e-06,
+                     5.4542374433325606e-07, 1.3635612695810373e-07,
+                     3.40890582027781e-08),
+        "entropy": (-0.045641263075473996, -0.045792073072005661,
+                    -0.04582979171621996, -0.045839222386552185,
+                    -0.045841580117202324, -0.045842169553817723,
+                    -0.045842316913203188)}),
+}
+
+
+def _ladder_passes(report):
+    return all(not math.isfinite(o) or o >= vf.LADDER_ORDER_GATE
+               for o in report.order.values())
+
+
+def _scale_amplitude(plan, factor):
+    """The plan with the amplitude of every constant-speed shadow front
+    multiplied by factor: a wrong plan with the right fronts."""
+    def scaled(f):
+        if isinstance(f, xr.ConstSpeedSW):
+            return dataclasses.replace(f, amp=f.amp * factor)
+        return f
+    return dataclasses.replace(plan, phases=tuple(
+        dataclasses.replace(ph, fronts=tuple(scaled(f) for f in ph.fronts))
+        for ph in plan.phases))
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_DATA))
+def test_weak_ladder_matches_recorded_residuals(name):
+    data, recorded = LADDER_DATA[name]
+    plan = xr.solve(data, 6.0)
+    rep = vf.residual_ladder(plan, vf.default_test_function(plan),
+                             which=tuple(recorded))
+    for eq, res in recorded.items():
+        assert len(rep.residuals[eq]) == len(res)
+        for got, want in zip(rep.residuals[eq], res):
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_DATA))
+def test_weak_ladder_gate_fails_wrong_amplitude(name):
+    plan = xr.solve(LADDER_DATA[name][0], 6.0)
+    phi = vf.default_test_function(plan)
+    assert _ladder_passes(vf.residual_ladder(plan, phi))
+    wrong = vf.residual_ladder(_scale_amplitude(plan, 1.01), phi)
+    assert not _ladder_passes(wrong)
+    assert wrong.order["mass"] < 0.1
 
 
 def test_weak_residual_classical_region_is_quadrature_exact():
