@@ -11,6 +11,8 @@ total mass plus m0 conserved to rounding.
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,6 +30,10 @@ class ParticleSystem:
 
     Particle i follows r(t) = a[i] + u[i] * t until its next event; the
     intercept form keeps collision times independent of the current clock.
+    The state lives in flat typed buffers that the event loop indexes as
+    Python floats and ints; the queries read numpy views of the same memory.
+    Heap entries are (t, kind, i, j, version_i, version_j) tuples, so the
+    pop order depends only on which events are pending, not on push order.
     """
 
     def __init__(self, n: int, positions, masses, velocities, time: float = 0.0):
@@ -46,18 +52,33 @@ class ParticleSystem:
         self.m0 = 0.0
         self.absorptions: list = []  # (time, mass) per origin deposit
         N = positions.size
-        self._a = positions - velocities * time
-        self._m = masses.copy()
-        self._u = velocities.copy()
-        self._alive = np.ones(N, dtype=bool)
-        self._prev = np.arange(N) - 1
-        self._next = np.arange(N) + 1
-        self._next[-1:] = -1
-        self._version = np.zeros(N, dtype=np.int64)
-        self._scale = float(positions[-1]) if N else 1.0
-        self._heap: list = []
-        for i in range(N):
-            self._push_events(i)
+        self._a, self._u, self._m = (array("d", [0.0]) * N for _ in range(3))
+        self._prev, self._next, self._version = (array("q", [0]) * N for _ in range(3))
+        self._alive = bytearray(b"\x01") * N
+        a, u, m = self._av, self._uv, self._mv = [
+            np.frombuffer(x, dtype=float) for x in (self._a, self._u, self._m)]
+        np.subtract(positions, velocities * self.time, out=a)
+        u[:], m[:] = velocities, masses
+        prev, nxt = (np.frombuffer(x, dtype=np.int64) for x in (self._prev, self._next))
+        prev[:] = np.arange(-1, N - 1)
+        np.add(prev, 2, out=nxt)
+        nxt[-1:] = -1
+        self._alive_v = np.frombuffer(self._alive, dtype=bool)
+        # every particle's first events at once, as _push_events would push
+        # them; np.where(t < t0, t0, t) is Python's max(t, t0)
+        t0 = self.time
+        i = np.flatnonzero(u[:-1] > u[1:])
+        k = np.flatnonzero(u < 0.0)
+        with np.errstate(over="ignore"):
+            tc = (a[i + 1] - a[i]) / (u[i] - u[i + 1])
+            to = -a[k] / u[k]
+        i, tc = i[np.isfinite(tc)], tc[np.isfinite(tc)]
+        k, to = k[np.isfinite(to)], to[np.isfinite(to)]
+        self._heap = [(t, _COLLIDE, ii, ii + 1, 0, 0) for t, ii in
+                      zip(np.where(tc < t0, t0, tc).tolist(), i.tolist())]
+        self._heap += [(t, _ORIGIN, kk, -1, 0, 0) for t, kk in
+                       zip(np.where(to < t0, t0, to).tolist(), k.tolist())]
+        heapq.heapify(self._heap)
 
     # -- queries ----------------------------------------------------------
 
@@ -67,63 +88,64 @@ class ParticleSystem:
 
     @property
     def alive_count(self) -> int:
-        return int(self._alive.sum())
+        return int(np.count_nonzero(self._alive_v))
 
     def alive_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._alive)
+        return np.flatnonzero(self._alive_v)
 
     def radii(self) -> np.ndarray:
         idx = self.alive_indices()
-        return self._a[idx] + self._u[idx] * self.time
+        return self._av[idx] + self._uv[idx] * self.time
 
     def masses(self) -> np.ndarray:
-        return self._m[self.alive_indices()]
+        return self._mv[self.alive_indices()]
 
     def velocities(self) -> np.ndarray:
-        return self._u[self.alive_indices()]
+        return self._uv[self.alive_indices()]
 
     def total_mass(self) -> float:
-        return float(self._m[self._alive].sum())
+        return float(self._mv[self._alive_v].sum())
 
     def total_momentum(self) -> float:
-        mask = self._alive
-        return float((self._m[mask] * self._u[mask]).sum())
+        mask = self._alive_v
+        return float((self._mv[mask] * self._uv[mask]).sum())
 
     # -- event machinery --------------------------------------------------
 
     def _push_events(self, i: int):
-        if not self._alive[i]:
+        # the divisors are nonzero (u_i > u_j, or u_i < 0); a quotient
+        # beyond float range is inf, and such events never fire
+        alive, a, u = self._alive, self._a, self._u
+        if not alive[i]:
             return
         j = self._next[i]
-        if j >= 0 and self._alive[j] and self._u[i] > self._u[j]:
-            with np.errstate(over="ignore"):
-                tc = (self._a[j] - self._a[i]) / (self._u[i] - self._u[j])
-            if np.isfinite(tc):
-                tc = max(tc, self.time)
-                heapq.heappush(self._heap, (tc, _COLLIDE, i, j,
-                                            int(self._version[i]),
-                                            int(self._version[j])))
-        if self._u[i] < 0.0:
-            # arrival times beyond float range (subnormal speeds) never fire
-            with np.errstate(over="ignore"):
-                to = -self._a[i] / self._u[i]
-            if np.isfinite(to):
-                to = max(to, self.time)
-                heapq.heappush(self._heap, (to, _ORIGIN, i, -1,
-                                            int(self._version[i]), 0))
+        if j >= 0 and alive[j] and u[i] > u[j]:
+            tc = (a[j] - a[i]) / (u[i] - u[j])
+            if math.isfinite(tc):
+                heapq.heappush(self._heap, (max(tc, self.time), _COLLIDE, i, j,
+                                            self._version[i], self._version[j]))
+        if u[i] < 0.0:
+            to = -a[i] / u[i]
+            if math.isfinite(to):
+                heapq.heappush(self._heap, (max(to, self.time), _ORIGIN, i, -1,
+                                            self._version[i], 0))
 
     def _merge(self, i: int, j: int, t: float):
         # j is i's right neighbor; both at the same point at time t
-        mi, mj = self._m[i], self._m[j]
-        m = mi + mj
-        x = (mi * self.position(i, t) + mj * self.position(j, t)) / m
-        u = (mi * self._u[i] + mj * self._u[j]) / m
-        self._alive[j] = False
+        a, u, m = self._a, self._u, self._m
+        mi, mj = m[i], m[j]
+        mass = mi + mj
+        if mass == 0.0:  # two massless particles: nan, as numpy's 0/0 gave
+            x = v = math.nan
+        else:
+            x = (mi * (a[i] + u[i] * t) + mj * (a[j] + u[j] * t)) / mass
+            v = (mi * u[i] + mj * u[j]) / mass
+        self._alive[j] = 0
         self._version[i] += 1
         self._version[j] += 1
-        self._m[i] = m
-        self._u[i] = u
-        self._a[i] = x - u * t
+        m[i] = mass
+        u[i] = v
+        a[i] = x - v * t
         nj = self._next[j]
         self._next[i] = nj
         if nj >= 0:
@@ -134,33 +156,29 @@ class ParticleSystem:
             self._push_events(p)
 
     def _absorb(self, i: int, t: float):
-        self.m0 += float(self._m[i])
-        self.absorptions.append((t, float(self._m[i])))
-        self._alive[i] = False
+        mi = self._m[i]
+        self.m0 += mi
+        self.absorptions.append((t, mi))
+        self._alive[i] = 0
         self._version[i] += 1
-        nxt = self._next[i]
+        nxt, p = self._next[i], self._prev[i]
         if nxt >= 0:
-            self._prev[nxt] = self._prev[i]
-        if self._prev[i] >= 0:
-            self._next[self._prev[i]] = nxt
-
-    def _valid(self, item) -> bool:
-        t, kind, i, j, vi, vj = item
-        if not self._alive[i] or self._version[i] != vi:
-            return False
-        if kind == _COLLIDE:
-            return bool(self._alive[j]) and self._version[j] == vj \
-                and self._next[i] == j
-        return True
+            self._prev[nxt] = p
+        if p >= 0:
+            self._next[p] = nxt
 
     def run_until(self, t_end: float) -> "ParticleSystem":
         if t_end < self.time - GROUP_TOL:
             raise DomainError("cannot run backwards")
-        while self._heap and self._heap[0][0] <= t_end:
-            item = heapq.heappop(self._heap)
-            if not self._valid(item):
+        heap, alive, version, nxt = self._heap, self._alive, self._version, self._next
+        pop = heapq.heappop
+        while heap and heap[0][0] <= t_end:
+            t, kind, i, j, vi, vj = pop(heap)
+            if not alive[i] or version[i] != vi:
                 continue
-            t, kind, i, j = item[0], item[1], item[2], item[3]
+            if kind == _COLLIDE and (not alive[j] or version[j] != vj
+                                     or nxt[i] != j):
+                continue
             self.time = max(self.time, t)
             if kind == _COLLIDE:
                 self._merge(i, j, self.time)
@@ -171,11 +189,11 @@ class ParticleSystem:
         # (or past each other) with no event due; a zero gap is contact
         while True:
             idx = self.alive_indices()
-            x = self._a[idx] + self._u[idx] * self.time
+            x = self._av[idx] + self._uv[idx] * self.time
             touching = np.flatnonzero(np.diff(x) <= 0.0)
             if touching.size == 0:
                 return self
-            for k in touching[::-1]:
+            for k in touching[::-1].tolist():
                 self._merge(int(idx[k]), int(idx[k + 1]), self.time)
 
 
@@ -190,22 +208,22 @@ def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:
         raise DomainError("r_max must exceed the jump radius")
     S = surface_area(data.n)
     edges = np.linspace(0.0, r_max, N + 1)
-    pos, mas, vel = [], [], []
-
-    def emit(a, b, coeff, u):
-        if coeff > 0.0 and b > a:
-            pos.append(0.5 * (a + b))
-            mas.append(S * coeff * (b - a))
-            vel.append(u)
-
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= data.R:
-            emit(a, b, data.rho_l, data.u_l)
-        elif a >= data.R:
-            emit(a, b, data.rho_r, data.u_r)
-        else:
-            emit(a, data.R, data.rho_l, data.u_l)
-            emit(data.R, b, data.rho_r, data.u_r)
+    # split the cell that straddles R there; pieces [0, k) lie left of R
+    k = int(np.searchsorted(edges, data.R))
+    if edges[k] != data.R:
+        edges = np.insert(edges, k, data.R)
+    lo, hi = edges[:-1], edges[1:]
+    pos = 0.5 * (lo + hi)
+    mas = hi - lo
+    keep = mas > 0.0
+    keep[:k] &= data.rho_l > 0.0
+    keep[k:] &= data.rho_r > 0.0
+    mas[:k] *= S * data.rho_l
+    mas[k:] *= S * data.rho_r
+    vel = np.full(pos.size, data.u_r, dtype=float)
+    vel[:k] = data.u_l
+    if not keep.all():
+        pos, mas, vel = pos[keep], mas[keep], vel[keep]
     return ParticleSystem(data.n, pos, mas, vel)
 
 
@@ -215,14 +233,13 @@ def front_extract(ps: ParticleSystem, mass_fraction: float = 0.05
     cluster holds more than mass_fraction of the conserved total."""
     if not (0.0 < mass_fraction < 1.0):
         raise DomainError("mass_fraction must lie in (0, 1)")
-    idx = ps.alive_indices()
-    if idx.size == 0:
+    masses = ps.masses()
+    if masses.size == 0:
         return None
-    total = ps.total_mass() + ps.m0
-    k = idx[int(np.argmax(ps._m[idx]))]
-    if ps._m[k] <= mass_fraction * total:
+    k = int(np.argmax(masses))
+    if masses[k] <= mass_fraction * (ps.total_mass() + ps.m0):
         return None
-    return ps.position(k), float(ps._m[k])
+    return ps.position(int(ps.alive_indices()[k])), float(masses[k])
 
 
 def largest_absorption_time(ps: ParticleSystem) -> Optional[float]:

@@ -317,6 +317,46 @@ def test_oracle_csv(tmp_path):
     assert float(row["mass_exact"]) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
+# oracle.csv digests recorded with the per-particle event loop that preceded
+# the flat-buffer one: n = 1..4, snapshots past t_sw0 after absorption and
+# the origin dump, an inflow hit, a vacuum fan and a drained side that feed
+# m0, a contact with u = -0.0, and R on a cell edge (r_max / N dyadic)
+GOLDEN_ORACLE = [
+    ("worked_n2", WORKED, 5.0,
+     {"N": [300, 1000], "r_max": 5.3, "times": [0.5, 2.0, 3.9, 4.5]},
+     "972058080b0ccddeb7c82ccaf23193580ff267c3b2cea348fc67c281ff076720"),
+    ("absorb_dump_edge_n1",
+     dict(n=1, R=1.0, rho_l=1.0, rho_r=4.0, u_l=2.0, u_r=-1.0), 4.0,
+     {"N": [512], "r_max": 4.0, "times": [0.25, 1.0, 2.5, 3.0, 3.5]},
+     "c88fa7b5e0145240eb76f1226412600987b8a812f22951320247f4fe25b9230b"),
+    ("inflow_hit_n3",
+     dict(n=3, R=2.0, rho_l=2.0, rho_r=0.5, u_l=-0.5, u_r=-1.5), 3.0,
+     {"N": [400], "r_max": 6.0, "times": [0.5, 2.0, 2.6]},
+     "6fc44e63550f642425953f6ee344d419373c0c4397a93bfdebc84410bfcbc803"),
+    ("fan_n4", dict(n=4, R=1.0, rho_l=1.0, rho_r=2.0, u_l=-1.0, u_r=0.5), 2.0,
+     {"N": [800], "r_max": 4.0, "times": [0.3, 0.7, 1.2, 2.0]},
+     "97987e53efcd065da771fac7150d08f5eb8f3a7f1b32c5aa4323cb357dd1268a"),
+    ("contact_signed_zero_edge_n3",
+     dict(n=3, R=1.0, rho_l=2.0, rho_r=0.5, u_l=0.0, u_r=-0.0), 2.0,
+     {"N": [256], "r_max": 4.0, "times": [0.5, 2.0]},
+     "9c8667ba75b30093e18c7b341f495f751d6e52b041f04408124f186a88e0480f"),
+    ("vacuum_right_n2",
+     dict(n=2, R=1.0, rho_l=2.0, rho_r=0.0, u_l=-0.5, u_r=0.5), 3.0,
+     {"N": [333], "r_max": 2.5, "times": [0.5, 1.5, 2.5]},
+     "267917c67d460d4daf9758540b77d8deadf4f759c23a5d1efb2c59e5f13a844d"),
+]
+
+
+@pytest.mark.parametrize("name, data, t_max, oracle, digest", GOLDEN_ORACLE,
+                         ids=[g[0] for g in GOLDEN_ORACLE])
+def test_oracle_bytes_match_golden_digest(tmp_path, name, data, t_max, oracle,
+                                          digest):
+    cfg = write_config(tmp_path, data=data, t_max=t_max, oracle=oracle)
+    code, out = run(tmp_path, "oracle", cfg)
+    assert code == 0
+    assert hashlib.sha256((out / "oracle.csv").read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # example64
 

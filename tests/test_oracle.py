@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import radialsw.exact_riemann as xr
 import radialsw.oracle as orc
-from radialsw.core import DomainError, PseudoRiemannData
+from radialsw.core import DomainError, PseudoRiemannData, surface_area
 
 WORKED = PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
 
@@ -51,6 +53,15 @@ def test_neighbours_rounded_onto_one_point_merge():
     assert ps.masses().tolist() == [2.0]
 
 
+def test_massless_pair_merges_to_nan_without_raising():
+    ps = orc.ParticleSystem(1, [1.0, 2.0], [0.0, 0.0], [1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps.run_until(1.0)
+    assert ps.alive_count == 1 and ps.masses().tolist() == [0.0]
+    assert math.isnan(ps.radii()[0]) and math.isnan(ps.velocities()[0])
+
+
 def test_run_until_rejects_backwards():
     ps = orc.ParticleSystem(1, [1.0], [1.0], [0.0])
     ps.run_until(2.0)
@@ -90,6 +101,57 @@ def test_discretize_straddling_cell_splits_at_jump():
 def test_discretize_total_mass_exact():
     ps = orc.discretize(WORKED, 10_000, 5.3)
     assert ps.total_mass() == pytest.approx(2 * math.pi * 5.3, rel=1e-12)
+
+
+def _discretize_per_cell(data, N, r_max):
+    """The per-cell discretize loop that preceded the numpy one, verbatim
+    apart from returning the lists."""
+    S = surface_area(data.n)
+    edges = np.linspace(0.0, r_max, N + 1)
+    pos, mas, vel = [], [], []
+
+    def emit(a, b, coeff, u):
+        if coeff > 0.0 and b > a:
+            pos.append(0.5 * (a + b))
+            mas.append(S * coeff * (b - a))
+            vel.append(u)
+
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b <= data.R:
+            emit(a, b, data.rho_l, data.u_l)
+        elif a >= data.R:
+            emit(a, b, data.rho_r, data.u_r)
+        else:
+            emit(a, data.R, data.rho_l, data.u_l)
+            emit(data.R, b, data.rho_r, data.u_r)
+    return pos, mas, vel
+
+
+@pytest.mark.parametrize("data, N, r_max", [
+    (WORKED, 7, 2.0),                                   # R interior to a cell
+    (WORKED, 1001, 5.3),
+    (PseudoRiemannData(n=3, R=0.77, rho_l=0.37, rho_r=1.9, u_l=0.3, u_r=-1.1),
+     1000, 3.1),
+    (PseudoRiemannData(n=3, R=1.0, rho_l=2.0, rho_r=0.5, u_l=0.0, u_r=-0.0),
+     256, 4.0),                                         # R on an edge, u = -0.0
+    (PseudoRiemannData(n=1, R=0.3, rho_l=0.0, rho_r=3.0, u_l=0.5, u_r=-0.5),
+     97, 1.0),                                          # rho_l = 0
+    (PseudoRiemannData(n=4, R=0.3, rho_l=2.0, rho_r=0.0, u_l=-0.5, u_r=0.5),
+     97, 1.0),                                          # rho_r = 0
+    (PseudoRiemannData(n=2, R=1.0, rho_l=0.0, rho_r=0.0, u_l=1.0, u_r=-1.0),
+     50, 2.0),                                          # both vacuum
+    (PseudoRiemannData(n=2, R=0.5, rho_l=1.0, rho_r=3.0, u_l=-0.0, u_r=1.0),
+     2, 2.0),                                           # N = 2
+    (PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=3.0, u_l=-1.0, u_r=2.0),
+     2, 2.0),                                           # N = 2, R on the edge
+], ids=["R_interior", "worked", "generic_n3", "R_on_edge_signed_zero",
+        "vacuum_left", "vacuum_right", "vacuum_both", "N2", "N2_R_on_edge"])
+def test_discretize_matches_per_cell_loop_bitwise(data, N, r_max):
+    pos, mas, vel = _discretize_per_cell(data, N, r_max)
+    ps = orc.discretize(data, N, r_max)
+    for got, want in ((ps.radii(), pos), (ps.masses(), mas),
+                      (ps.velocities(), vel)):
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 def test_discretize_vacuum_and_errors():
@@ -244,3 +306,81 @@ def test_simultaneous_collisions_group_merge():
     assert ps.alive_count == 1
     assert ps.radii()[0] == pytest.approx(2.0)
     assert ps.velocities()[0] == pytest.approx(0.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# golden states: exact bits recorded with the per-particle event loop that
+# preceded the flat-buffer one
+
+def _golden_system(kind):
+    rng = np.random.default_rng(20261018)
+    if kind == "lattice":
+        # integer spacing and speeds: many simultaneous collisions and
+        # deposits, and exact ties in the event heap
+        r = np.arange(1.0, 201.0)
+        u = rng.integers(-4, 3, r.size).astype(float)
+        m = rng.integers(1, 5, r.size).astype(float)
+        return orc.ParticleSystem(1, r, m, u)
+    r = np.cumsum(rng.uniform(0.01, 0.5, 200))
+    u = rng.normal(-0.5, 1.0, r.size)
+    m = rng.uniform(0.1, 2.0, r.size)
+    if kind == "random":
+        return orc.ParticleSystem(2, r, m, u)
+    return orc.ParticleSystem(3, r, m, u, time=0.7)  # "restart"
+
+
+GOLDEN_STATES = [
+    ("lattice", "b7107f32c58d57c26a500370ec4ee024efa807d0f9638484dad7cf127c8c0d13"),
+    ("random", "8def888f55c264c44c2db7d37ff583a318ce8ffe84db37fa794d912806485ac2"),
+    ("restart", "e882d3e9cb290795b7bb9264dcbcdb5a2f79c7d0f7931cae52acf720a2511040"),
+]
+
+
+def _state_digest(ps, times):
+    h = hashlib.sha256()
+    t0 = ps.time
+    for t in times:
+        ps.run_until(t0 + t)
+        for arr in (ps.radii(), ps.masses(), ps.velocities(),
+                    np.array([ps.m0, ps.time, ps.alive_count]),
+                    np.array(ps.absorptions, dtype=float)):
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, digest", GOLDEN_STATES,
+                         ids=[g[0] for g in GOLDEN_STATES])
+def test_particle_states_match_golden_bits(kind, digest):
+    ps = _golden_system(kind)
+    assert _state_digest(ps, (0.25, 0.5, 1.0, 1.0, 3.7, 50.0)) == digest
+    assert ps.absorptions and ps.alive_count < 200
+
+
+# ---------------------------------------------------------------------------
+# float edges: event times beyond float range never fire, and computing
+# them warns of nothing
+
+def test_subnormal_inward_speed_is_never_absorbed():
+    # the middle pair's merge re-pushes the slow particle's events
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps = orc.ParticleSystem(1, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0],
+                                [-5e-324, 1.0, -1.0])
+        ps.run_until(1e300)
+    assert ps.alive_count == 2
+    assert ps.m0 == 0.0 and ps.absorptions == []
+    assert ps.radii().tolist() == [1.0, 2.5]
+
+
+def test_subnormal_relative_speed_gets_no_collision_event():
+    # one such pair at construction, one after the right pair merges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps = orc.ParticleSystem(1, [1.0, 2.0, 4.0, 5.0, 6.0],
+                                [1.0, 1.0, 1.0, 1.0, 1.0],
+                                [1e-323, 0.0, 1e-323, 1.0, -1.0])
+        assert all(ev[1] != orc._COLLIDE or ev[2] == 3 for ev in ps._heap)
+        ps.run_until(1e300)
+    assert not any(ev[1] == orc._COLLIDE for ev in ps._heap)
+    assert ps.alive_count == 4
+    assert ps.radii().tolist() == [1.0, 2.0, 4.0, 5.5]
