@@ -152,14 +152,11 @@ def cmd_solve(sc: Scenario, out_dir: str) -> int:
         lines.append("v0 %s" % _fmt(v0))
     except DomainError:
         pass
-    t_in = (exact.absorption_time(sc.data)
-            if plan.case.kind == exact.DELTA_SHOCK else None)
+    t_in = plan.events.get("t_in")
     if t_in is not None and t_in <= sc.t_max:
-        consts, _, _ = exact.post_absorption(sc.data)
-        lines.append("t_in %s" % _fmt(t_in))
-        lines.append("C %s" % _fmt(consts.C))
-        lines.append("D %s" % _fmt(consts.D))
-        lines.append("E %s" % _fmt(consts.E))
+        post = plan.phase_at(t_in).fronts[0]  # the post-absorption front
+        lines += ["t_in %s" % _fmt(t_in), "C %s" % _fmt(post.C),
+                  "D %s" % _fmt(post.D), "E %s" % _fmt(post.E)]
     for name, t in sorted(plan.events.items(), key=lambda kv: (kv[1], kv[0])):
         lines.append("event %s %s" % (name, _fmt(t)))
     if not any(ph.fronts for ph in plan.phases):

@@ -3,10 +3,13 @@
 Cases: both sides vacuum; one-sided vacuum bounded by a degenerate shock;
 a contact (equal velocities); a vacuum fan (u_l < u_r, the regions
 separate); a delta shock carried by a shadow-wave front (u_l > u_r).
-The shadow front moves at the physical constant speed v0 until it either
-absorbs the whole interior region (u_l > 0, time t_in) or reaches the
-origin; afterwards the closed post-absorption form takes over until the
-front dumps its mass into the origin point mass at t_sw0.
+Interior gas that moves outward (u_l > 0) leaves vacuum at the origin.
+Each phase of a plan ends at one of two events: the vacuum edge catches
+the constant-speed shadow front (t_in; the closed post-absorption form
+takes over), or the innermost front reaches r = 0 and the region inside
+it empties into the origin point mass (t_sw0 for a shadow front, which
+dumps its mass there; t_vacuum_close when that region is vacuum;
+t_origin_left otherwise).
 """
 from __future__ import annotations
 
@@ -53,6 +56,10 @@ class ConstSpeedSW:
     def sigma(self, t):
         return self.amp * t * self.xi(t) ** (1 - self.n)
 
+    def total_mass(self, S, t):
+        """S xi^{n-1} sigma, written without xi: sigma xi^{n-1} = amp t."""
+        return S * self.amp * t
+
     def state(self, t):
         return FrontState(SHADOW_WAVE, self.xi(t), self.v0, self.sigma(t))
 
@@ -78,16 +85,13 @@ class PostAbsorptionSW:
     def speed(self, t):
         return self.u_r + 1.0 / math.sqrt(self.C * t + self.D)
 
-    def accel(self, t):
-        return -0.5 * self.C * (self.C * t + self.D) ** -1.5
-
     def sigma(self, t):
         s = math.sqrt(self.C * t + self.D)
         return (2.0 * self.rho_r / self.C) * s * self.xi(t) ** (1 - self.n)
 
-    def front_mass_coeff(self, t):
-        """sigma * xi^{n-1}, the lineal mass per unit sphere area coefficient."""
-        return (2.0 * self.rho_r / self.C) * math.sqrt(self.C * t + self.D)
+    def total_mass(self, S, t):
+        """S xi^{n-1} sigma, written without xi."""
+        return S * ((2.0 * self.rho_r / self.C) * math.sqrt(self.C * t + self.D))
 
     def state(self, t):
         return FrontState(SHADOW_WAVE, self.xi(t), self.speed(t), self.sigma(t))
@@ -201,6 +205,8 @@ def _post_front(data: PseudoRiemannData) -> PostAbsorptionSW:
     C = 2.0 * data.rho_r / (data.R * data.rho_l * (data.u_l - data.u_r))
     D = (data.rho_l - data.rho_r) / (data.rho_l * (data.u_l - data.u_r) ** 2)
     E = (data.R / data.rho_r) * (data.rho_r - data.rho_l)
+    if not (0.0 < C < INF and math.isfinite(D) and math.isfinite(E)):
+        raise DomainError("post-absorption constants leave float range")
     return PostAbsorptionSW(data.u_r, C, D, E, data.rho_r, data.n)
 
 
@@ -222,28 +228,27 @@ def origin_hit_time(data: PseudoRiemannData) -> Optional[float]:
 
     u_l <= 0: the constant-speed front arrives at -R/v0.  u_l > 0 with
     u_r < 0: the first root t > t_in of the post-absorption xi(t) = 0, a
-    quadratic in s = sqrt(Ct+D); a root beyond float range (u_r
-    subnormal) counts as never.
+    quadratic in s = sqrt(Ct+D).  A time beyond float range (u_r
+    subnormal, or t_in infinite) counts as never.
     """
     _require_delta_shock(data)
     if data.u_l <= 0:
-        v0 = first_root_speed(data.rho_l, data.u_l, data.rho_r, data.u_r)
-        if v0 >= 0:
-            return None
-        t = -data.R / v0
-        return t if math.isfinite(t) else None
-    if data.u_r >= 0:
+        front, t0 = _const_front(data), 0.0
+    elif data.u_r >= 0:
         return None
-    roots = _post_front(data).times_at(0.0, absorption_time(data), INF)
+    else:
+        t0 = absorption_time(data)
+        if not math.isfinite(t0):
+            return None
+        front = _post_front(data)
+    roots = [t for t in front.times_at(0.0, t0, INF) if math.isfinite(t)]
     return roots[0] if roots else None
 
 
 def origin_mass(plan: WavePlan, t: float) -> float:
     """Origin point mass m0(t): the running integral of the inflow flux
     |S^{n-1}| lim r^{n-1} rho (-u)_+ plus the front dump at t_sw0,
-    assembled per phase in the plan."""
-    if t < 0:
-        raise DomainError("negative time")
+    assembled per phase in the plan; DomainError for t < 0."""
     return plan.m0(t)
 
 
@@ -260,140 +265,85 @@ def _ledger_slopes(inner: RegionProfile, S: float):
     return m0_slope, p0_slope
 
 
-def _chain_phases(pieces, S, jumps=None):
-    """Build phases with continuous ledgers; `pieces` holds
-    (t_start, t_end, fronts, regions); `jumps` maps phase index ->
-    (m0_jump, p0_jump) applied at the start of that phase."""
-    phases = []
-    m0, p0 = 0.0, 0.0
-    for k, (t0, t1, fronts, regions) in enumerate(pieces):
-        if jumps and k in jumps:
-            dm, dp = jumps[k]
-            m0 += dm
-            p0 += dp
-        m0s, p0s = _ledger_slopes(regions[0], S)
-        phases.append(Phase(t0, t1, tuple(fronts), tuple(regions),
-                            m0_start=m0, m0_slope=m0s,
-                            p0_start=p0, p0_slope=p0s))
-        if math.isfinite(t1):
-            m0 += m0s * (t1 - t0)
-            p0 += p0s * (t1 - t0)
-    return tuple(phases)
+def _waves(data: PseudoRiemannData, kind: str):
+    """The fronts that leave R and the regions between them, innermost
+    first, as lists for solve() to edit."""
+    R, u_l, u_r = data.R, data.u_l, data.u_r
+    left = RegionProfile.power_law(data.rho_l, u_l)
+    right = RegionProfile.power_law(data.rho_r, u_r)
+    vac = RegionProfile.vacuum()
+    if kind == DELTA_SHOCK:
+        return [_const_front(data)], [left, right]
+    return {
+        ALL_VACUUM: ([], [vac]),
+        VACUUM_LEFT_SHOCK: ([LinearFront(SHOCK, R, u_r)], [vac, right]),
+        VACUUM_RIGHT_SHOCK: ([LinearFront(SHOCK, R, u_l)], [left, vac]),
+        CASE_CONTACT: ([LinearFront(CONTACT, R, u_l)], [left, right]),
+        VACUUM_FAN: ([LinearFront(VACUUM_EDGE, R, u_l),
+                      LinearFront(VACUUM_EDGE, R, u_r)], [left, vac, right]),
+    }[kind]
+
+
+def _next_event(data: PseudoRiemannData, fronts, regions, t0: float):
+    """(name, time) of the event ending the phase from t0 (time None if
+    never): t_in, or the innermost front's first finite inward crossing of
+    r = 0 at or after t0 (origin_hit_time for a shadow front)."""
+    if len(fronts) == 2 and isinstance(fronts[1], ConstSpeedSW):
+        t = absorption_time(data)
+        return "t_in", (t if math.isfinite(t) else None)
+    if not fronts:
+        return None, None
+    f = fronts[0]
+    if f.kind == SHADOW_WAVE:
+        return "t_sw0", origin_hit_time(data)
+    name = "t_vacuum_close" if regions[0].is_vacuum else "t_origin_left"
+    ts = [t for t in f.times_at(0.0, t0, INF)
+          if math.isfinite(t) and f.speed(t) < 0]
+    return name, (ts[0] if ts else None)
 
 
 def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
-    """Exact global plan for the datum; phases partition [0, inf)
-    structurally, t_max gates sampling via evaluate()."""
+    """Exact global plan for the datum, one phase per event of the module
+    rule; phases partition [0, inf) structurally, t_max gates sampling via
+    evaluate().  An event time beyond float range counts as never, and
+    closed-form constants that leave float range raise DomainError."""
     if not (t_max > 0):
         raise DomainError("t_max must be positive")
     tag = classify(data)
-    n, R = data.n, data.R
-    S = surface_area(n)
-    left = RegionProfile.power_law(data.rho_l, data.u_l)
-    right = RegionProfile.power_law(data.rho_r, data.u_r)
-    vac = RegionProfile.vacuum()
-    events: dict = {}
-    pieces = []
-    jumps = {}
-
-    if tag.kind == ALL_VACUUM:
-        pieces.append((0.0, INF, (), (vac,)))
-
-    elif tag.kind == VACUUM_LEFT_SHOCK:
-        shock = LinearFront(SHOCK, R, data.u_r)
-        if data.u_r < 0:
-            tc = -R / data.u_r
-            events["t_vacuum_close"] = tc
-            pieces.append((0.0, tc, (shock,), (vac, right)))
-            pieces.append((tc, INF, (), (right,)))
-        else:
-            pieces.append((0.0, INF, (shock,), (vac, right)))
-
-    elif tag.kind == VACUUM_RIGHT_SHOCK:
-        shock = LinearFront(SHOCK, R, data.u_l)
-        if data.u_l > 0:
-            edge = LinearFront(VACUUM_EDGE, 0.0, data.u_l)
-            pieces.append((0.0, INF, (edge, shock), (vac, left, vac)))
-        elif data.u_l == 0:
-            pieces.append((0.0, INF, (shock,), (left, vac)))
-        else:
-            tc = -R / data.u_l
-            events["t_origin_left"] = tc
-            pieces.append((0.0, tc, (shock,), (left, vac)))
-            pieces.append((tc, INF, (), (vac,)))
-
-    elif tag.kind == CASE_CONTACT:
-        u = data.u_l
-        front = LinearFront(CONTACT, R, u)
-        if u > 0:
-            edge = LinearFront(VACUUM_EDGE, 0.0, u)
-            pieces.append((0.0, INF, (edge, front), (vac, left, right)))
-        elif u == 0:
-            pieces.append((0.0, INF, (front,), (left, right)))
-        else:
-            tc = -R / u
-            events["t_origin_left"] = tc
-            pieces.append((0.0, tc, (front,), (left, right)))
-            pieces.append((tc, INF, (), (right,)))
-
-    elif tag.kind == VACUUM_FAN:
-        inner = LinearFront(VACUUM_EDGE, R, data.u_l)
-        outer = LinearFront(VACUUM_EDGE, R, data.u_r)
-        if data.u_l > 0:
-            oedge = LinearFront(VACUUM_EDGE, 0.0, data.u_l)
-            pieces.append((0.0, INF, (oedge, inner, outer),
-                           (vac, left, vac, right)))
-        elif data.u_l == 0:
-            pieces.append((0.0, INF, (inner, outer), (left, vac, right)))
-        else:
-            tl = -R / data.u_l
-            events["t_origin_left"] = tl
-            pieces.append((0.0, tl, (inner, outer), (left, vac, right)))
-            if data.u_r < 0:
-                tr = -R / data.u_r
-                events["t_vacuum_close"] = tr
-                pieces.append((tl, tr, (outer,), (vac, right)))
-                pieces.append((tr, INF, (), (right,)))
+    S = surface_area(data.n)
+    events, phases = {}, []
+    t0 = m0 = p0 = 0.0
+    try:
+        fronts, regions = _waves(data, tag.kind)
+        if not regions[0].is_vacuum and data.u_l > 0:
+            # the interior gas moves outward and leaves vacuum at the origin
+            fronts.insert(0, LinearFront(VACUUM_EDGE, 0.0, data.u_l))
+            regions.insert(0, RegionProfile.vacuum())
+        while True:
+            name, t1 = _next_event(data, fronts, regions, t0)
+            m0s, p0s = _ledger_slopes(regions[0], S)
+            phases.append(Phase(t0, INF if t1 is None else t1, tuple(fronts),
+                                tuple(regions), m0_start=m0, m0_slope=m0s,
+                                p0_start=p0, p0_slope=p0s))
+            if t1 is None:
+                break
+            events[name] = t1
+            m0 += m0s * (t1 - t0)
+            p0 += p0s * (t1 - t0)
+            if name == "t_in":
+                fronts, regions = [_post_front(data)], [regions[0], regions[2]]
             else:
-                pieces.append((tl, INF, (outer,), (vac, right)))
-
-    else:  # DELTA_SHOCK
-        sw = _const_front(data)
-        if data.u_l > 0:
-            t_in = absorption_time(data)
-            if not math.isfinite(t_in):
-                # u_l - u_r below float resolution: absorption never resolves
-                edge = LinearFront(VACUUM_EDGE, 0.0, data.u_l)
-                pieces.append((0.0, INF, (edge, sw), (vac, left, right)))
-            else:
-                events["t_in"] = t_in
-                edge = LinearFront(VACUUM_EDGE, 0.0, data.u_l)
-                pieces.append((0.0, t_in, (edge, sw), (vac, left, right)))
-                post = _post_front(data)
-                t_sw0 = origin_hit_time(data)
-                if t_sw0 is None:
-                    pieces.append((t_in, INF, (post,), (vac, right)))
-                else:
-                    events["t_sw0"] = t_sw0
-                    pieces.append((t_in, t_sw0, (post,), (vac, right)))
-                    pieces.append((t_sw0, INF, (), (right,)))
-                    dm = S * post.front_mass_coeff(t_sw0)
-                    jumps[2] = (dm, dm * post.speed(t_sw0))
-        else:
-            t_sw0 = origin_hit_time(data)
-            if t_sw0 is None:
-                pieces.append((0.0, INF, (sw,), (left, right)))
-            else:
-                events["t_sw0"] = t_sw0
-                pieces.append((0.0, t_sw0, (sw,), (left, right)))
-                pieces.append((t_sw0, INF, (), (right,)))
-                dm = S * sw.amp * t_sw0  # lim sigma xi^{n-1} = amp * t
-                jumps[1] = (dm, dm * sw.v0)
-
-    plan = WavePlan(data=data, case=tag,
-                    phases=_chain_phases(pieces, S, jumps),
-                    events=events, t_max=float(t_max))
-    return plan
+                f, fronts, regions = fronts[0], fronts[1:], regions[1:]
+                if f.kind == SHADOW_WAVE:
+                    dm = f.total_mass(S, t1)
+                    m0 += dm
+                    p0 += dm * f.speed(t1)
+            t0 = t1
+    except ArithmeticError as exc:
+        raise DomainError("closed-form constants leave float range (%s)"
+                          % type(exc).__name__) from exc
+    return WavePlan(data=data, case=tag, phases=tuple(phases), events=events,
+                    t_max=float(t_max))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,11 @@ class FrontIVP:
             raise DomainError("n must be an integer >= 1")
 
 
+def _off_root(speed: float, k1: float, k2: float) -> bool:
+    """True when speed misses the sigma = 0 root speed*kappa1 = kappa2."""
+    return abs(k2 - speed * k1) > 1e-9 * (1.0 + abs(k2) + abs(speed * k1))
+
+
 def front_rhs(t: float, xi: float, speed: float, sigma: float,
               outer_states: Callable, n: int) -> Tuple[float, float]:
     """(d sigma/dt, d speed/dt) of the front system.
@@ -68,12 +73,11 @@ def front_rhs(t: float, xi: float, speed: float, sigma: float,
     dsigma = k1 - (n - 1) * speed * sigma / xi
     if sigma > 0.0:
         dspeed = (k2 - speed * k1) / sigma
+    elif _off_root(speed, k1, k2):
+        raise SingularStartError(
+            "sigma = 0 with speed off the algebraic root "
+            "(speed*kappa1 - kappa2 = %g)" % (speed * k1 - k2,))
     else:
-        mismatch = k2 - speed * k1
-        if abs(mismatch) > 1e-9 * (1.0 + abs(k2) + abs(speed * k1)):
-            raise SingularStartError(
-                "sigma = 0 with speed off the algebraic root "
-                "(speed*kappa1 - kappa2 = %g)" % (-mismatch,))
         dspeed = 0.0
     return dsigma, dspeed
 
@@ -117,8 +121,7 @@ def integrate_front(ivp: FrontIVP, t_end: float, tol: float = 1e-10,
         rho0, u0, rho1, u1 = states(t0, xi0)
         v = first_root_speed(rho0, u0, rho1, u1)
         if speed0 is not None:
-            k1, k2 = kappa_fluxes(speed0, rho0, u0, rho1, u1)
-            if abs(k2 - speed0 * k1) > 1e-9 * (1.0 + abs(k2) + abs(speed0 * k1)):
+            if _off_root(speed0, *kappa_fluxes(speed0, rho0, u0, rho1, u1)):
                 raise SingularStartError("sigma0 = 0 needs the algebraic root speed")
             v = speed0
         k1, _ = kappa_fluxes(v, rho0, u0, rho1, u1)
@@ -168,8 +171,7 @@ def integrate_front(ivp: FrontIVP, t_end: float, tol: float = 1e-10,
         te = float(out.t_events[1][0])
         xe, ve, _ = out.y_events[1][0]
         rho0, u0, rho1, u1 = states(te, max(xe, _XI_TINY))
-        k1, k2 = kappa_fluxes(ve, rho0, u0, rho1, u1)
-        if abs(k2 - ve * k1) > 1e-9 * (1.0 + abs(k2) + abs(ve * k1)):
+        if _off_root(ve, *kappa_fluxes(ve, rho0, u0, rho1, u1)):
             raise SingularTrajectoryError(
                 "strip mass vanished at t=%g with incompatible fluxes" % te)
     return FrontTrajectory(t=out.t, xi=out.y[0], speed=out.y[1],

@@ -245,6 +245,17 @@ def test_negative_radius_exits_1_before_writing(tmp_path):
     assert not (out / "samples.csv").exists()
 
 
+def test_constants_beyond_float_range_exit_1_before_writing(tmp_path, capsys):
+    # E = (R/rho_r)(rho_r - rho_l) = inf * 0: the plan would carry a nan front
+    data = dict(WORKED, rho_l=5e-324, rho_r=5e-324)
+    cfg = write_config(tmp_path, data=data, oracle={"N": [100], "times": [1.5]})
+    for command, name in (("oracle", "oracle.csv"), ("solve", "plan.txt")):
+        code, out = run(tmp_path, command, cfg, subdir=command)
+        assert code == 1
+        assert not (out / name).exists()
+        assert "float range" in capsys.readouterr().err
+
+
 def test_default_r_grid_is_valid_for_small_R(tmp_path):
     data = dict(WORKED, R=0.01)
     cfg = write_config(tmp_path, data=data)

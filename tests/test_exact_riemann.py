@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -257,6 +258,112 @@ def test_solve_all_vacuum():
     assert plan.m0(1.5) == 0.0
     s = xr.evaluate(plan, 0.7, 1.0)
     assert s.is_vacuum and s.rho == 0.0
+
+
+# The sha256 of repr((plan.phases, plan.events)) pins every front, region,
+# event and m0/p0 ledger start and slope bit for bit (plan.txt omits the
+# ledger starts and p0).  One datum per branch of the six case kinds: the
+# signs of u_l and u_r, absorb-then-dump, absorb-no-hit, inflow-hit, an
+# infinite t_in and a dump beyond float range, over n = 1..4.
+PLAN_DIGESTS = [
+    ((1, 1.0, 0.0, 0.0, -1.0, -2.0),
+     "725c7e17924de6020e0bfd8da018f21cd6ff210d62acee8f30149248bcf48305"),
+    ((3, 2.0, 0.0, 0.0, 1.0, 0.5),
+     "725c7e17924de6020e0bfd8da018f21cd6ff210d62acee8f30149248bcf48305"),
+    ((2, 1.0, 0.0, 2.0, 0.0, -0.5),
+     "e8511f693f5fd5c06f3bdbc317a69e55635eab6f341b258df126bf3cbe12d47a"),
+    ((1, 1.5, 0.0, 0.3, 0.0, 0.0),
+     "182ca0e37ffdd0d636426beba039c96b25bfaacb6263092cd1058d1e637f0770"),
+    ((4, 0.7, 0.0, 1.0, 1.0, 2.0),
+     "cdddd52a14e00a4266695a03d05befa74d95c68ce7f07becb14a5f47a4628fca"),
+    ((3, 1.0, 2.0, 0.0, -0.75, 0.0),
+     "211e1ef6d4c9009357ec4ef996e1d9a12ff3fa30526a2b3bb7cb054f6d12d6e6"),
+    ((2, 1.0, 2.0, 0.0, 0.0, 0.0),
+     "95719a301bcaa1d36b1a5a1a08e5d3f328611f82e4097b527f121f411dc60032"),
+    ((1, 3.0, 0.5, 0.0, 1.25, 0.0),
+     "013aaa83fe32dd9dd88d1b46906b35b848a381479a3c1c81810b9a08c46da60f"),
+    ((2, 1.0, 1.0, 3.0, -0.4, -0.4),
+     "faa4cf272852feaad5a4ce408aa870a19dd3748300201356b52b20aef650021e"),
+    ((4, 1.0, 1.0, 3.0, 0.0, 0.0),
+     "a81a01b7804cdf9d98f840df60326b235b2a5af1c5ee2bd5f334d6580773b856"),
+    ((3, 1.0, 0.5, 3.0, -0.0, -0.0),
+     "bcca0e20f1806e5a0f91e088448414d5397d1195becab60f75a366d16e733470"),
+    ((1, 0.1, 1.0, 3.0, 2.0, 2.0),
+     "f0b4c17a97ff8296840f6386c4406e460f3b91d17bc921cfcc56169b2610645f"),
+    ((2, 1.0, 1.0, 2.0, -2.0, -0.5),
+     "4eac344aa605b126e6cd11888bbb7c942b33272270322e90770653427455aebd"),
+    ((3, 1.0, 1.0, 2.0, -2.0, 0.0),
+     "b6b8144c758320b874faa832ecee7b4abdf636d4de425229c7da58f2fc7fc186"),
+    ((1, 1.0, 1.0, 2.0, -1.0, 1.0),
+     "f4eb21782e7e9b03e124ac92374f58d6b789941f1c1e8fccdc00b1f145eb3cb8"),
+    ((4, 1.0, 1.0, 2.0, 0.0, 1.0),
+     "2e9d232232a0dad327409733f92c291ad7861976727c4c17e27f5b2df19c9199"),
+    ((2, 5.0, 1.0, 2.0, 0.5, 1.5),
+     "fe858b687ced17fd9a9f2abb37bb3120ed154c1dddb20aee5b0a96a26f7aeae8"),
+    ((2, 1.0, 1.0, 1.0, 1.0, -1.0),
+     "a30a6e6b7446a186fb053aedebde61d0118ff9536f9a289b3ab69102e4116a22"),
+    ((3, 1.0, 1.0, 4.0, 0.5, -2.0),
+     "b7a7f3700474afce6ee7f27969275ef58b6e173e2d1b74fd9018702669be4e51"),
+    ((1, 1.0860149515803998, 6111.177244764253, 0.0004025373404174065,
+      0.0003356826261201586, -0.09107621258671562),
+     "e9ab6bb0901184d9480d588d3982d97115468c7fb42ea958821beb40de4904dc"),
+    ((3, 0.8, 1.9, 0.45, 0.6, -1.3),
+     "f870772b300233c3fa58fe906e74037b85abd22647b47e18ca5bc8aa61ea46a7"),
+    ((4, 2.0, 1.0, 4.0, 1.0, 0.0),
+     "03b7b0fb433bdc03a9f26087086929c0c6fe93b62440f9e96a15cbd350389ea9"),
+    ((2, 1.0, 3.0, 0.5, 2.0, 0.5),
+     "ad80802add5d7c19f1db5d1d4305e10a38958e28fb3159b42491aad62f9c6a6b"),
+    ((3, 1.0, 1.0, 4.0, 0.0, -1.0),
+     "0d3b3ca43d1915c7297395f36edb927d51a910348bf3079f7cd71b8946ab7daf"),
+    ((1, 2.0, 0.2, 5.0, -0.5, -1.5),
+     "1d90460f1f68230f472c8e5d8b8cf6b3a3c5bbaf41949df148d78290b832cdba"),
+    ((4, 1.0, 9.0, 1.0, -1.0, -3.0),
+     "df596e739b3eb466c7fe9419faff466ccbbfecfa36bf95f061904d27253fd197"),
+    ((2, 1.3, 0.7, 2.9, -0.3, -1.7),
+     "5bdb77d987025401f20d8af3d2a101b2925f08039bbc65471e75d4fa4b2e8c77"),
+    ((3, 1.1, 2.3, 0.6, 0.0, -0.7),
+     "31ec2c76c2d3ff1f17df0cac051276e3d865fe481ce325d24a86b882d00a835d"),
+    ((2, 1.0, 1.0, 1.0, 5e-324, 0.0),
+     "4214c501c5f96b01d97a74001706cf72db8d211c13fd95d88a199bae7a75959b"),
+    ((2, 1e10, 1.0, 1.0, 1e-300, -1e-300),
+     "50ebd3899f57641d65eafa112bd78f13ae86c5bb44cf9044c7bcb1998a870936"),
+    ((2, 1.0, 1.0, 1.0, 1.0, -5e-324),
+     "5f7e356a34159be94563cba985bdfc7361153c17b7f1e2df6e1f4593ac430b2c"),
+]
+
+
+@pytest.mark.parametrize("d, digest", PLAN_DIGESTS,
+                         ids=[repr(d) for d, _ in PLAN_DIGESTS])
+def test_plan_matches_golden_digest(d, digest):
+    plan = xr.solve(data(*d), 10.0)
+    text = repr((plan.phases, plan.events))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("d, events", [
+    ((1, 1.0, 0.0, 1.0, 0.0, -5e-324), {}),                      # VacuumLeftShock
+    ((1, 1.0, 1.0, 1.0, -1.0, -5e-324), {"t_origin_left": 1.0}),  # VacuumFan
+    ((1, 1.0, 1.0, 1.0, -5e-324, -5e-324), {}),                  # Contact
+    ((1, 1.0, 1.0, 0.0, -5e-324, 0.0), {}),                      # VacuumRightShock
+])
+def test_origin_time_beyond_float_range_is_never(d, events):
+    # -R/u overflows for a subnormal u: the front never reaches the origin
+    plan = xr.solve(data(*d), 10.0)
+    assert plan.events == events
+    last = plan.phases[-1]
+    assert last.t_end == math.inf and len(last.fronts) == 1
+    assert last.fronts[0].xi(10.0) == 1.0
+
+
+@pytest.mark.parametrize("d", [
+    (1, 1.0, 1.0, 1.0, 1.0, -1e300),      # (u_l - u_r)**2 overflows in D
+    (1, 1.0, 1.0, 5e-324, 1e-300, 0.0),   # t_in divides by an underflowed 0
+    (1, 1.0, 1.0, 5e-324, 2.0, -2.0),     # C underflows to 0
+    (2, 1.0, 5e-324, 5e-324, 1.0, -1.0),  # E = inf * 0 = nan
+])
+def test_constants_beyond_float_range_raise_domain_error(d):
+    with pytest.raises(DomainError, match="float range"):
+        xr.solve(data(*d), 10.0)
 
 
 # ---------------------------------------------------------------------------

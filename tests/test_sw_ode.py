@@ -62,6 +62,12 @@ def test_rhs_singular_start_off_root():
     assert dspeed == 0.0 and dsigma > 0
 
 
+def test_ivp_sigma0_zero_needs_root_speed():
+    states = fixed_states(1.0, 1.0, 1.0, -1.0)  # root speed 0
+    with pytest.raises(SingularStartError):
+        so.integrate_front(so.FrontIVP(0.0, 1.0, 0.5, 0.0, states, 2), 1.0)
+
+
 def test_rhs_rejects_nonpositive_position():
     with pytest.raises(DomainError):
         so.front_rhs(0.0, 0.0, 0.0, 1.0, fixed_states(1, 0, 1, 0), 2)
