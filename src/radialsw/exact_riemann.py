@@ -13,6 +13,7 @@ t_origin_left otherwise).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -167,6 +168,19 @@ def second_root_speed(rho0: float, u0: float, rho1: float, u1: float) -> Optiona
     return (u1 * b - u0 * a) / (b - a)
 
 
+def _in_float_range(fn):
+    """Closed forms whose constants leave float range raise DomainError,
+    not the ZeroDivisionError or OverflowError of the arithmetic."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ArithmeticError as exc:
+            raise DomainError("closed-form constants leave float range (%s)"
+                              % type(exc).__name__) from exc
+    return wrapper
+
+
 def _require_delta_shock(data: PseudoRiemannData) -> None:
     if classify(data).kind != DELTA_SHOCK:
         raise PreconditionError("datum is not a delta shock case")
@@ -178,6 +192,7 @@ def _const_front(data: PseudoRiemannData) -> ConstSpeedSW:
     return ConstSpeedSW(data.R, v0, amp, data.n)
 
 
+@_in_float_range
 def sigma_const(data: PseudoRiemannData, t: float) -> float:
     """Lineal front mass of the constant-speed shadow wave,
     sigma(t) = t sqrt(rho_l rho_r) (u_l - u_r) (R + v0 t)^{1-n}."""
@@ -190,6 +205,7 @@ def sigma_const(data: PseudoRiemannData, t: float) -> float:
     return _const_front(data).sigma(t)
 
 
+@_in_float_range
 def absorption_time(data: PseudoRiemannData) -> Optional[float]:
     """Time the interior vacuum edge catches the front, exhausting the left
     region: t_in = R (sqrt(rho_r)+sqrt(rho_l))/(sqrt(rho_r)(u_l-u_r)).
@@ -210,6 +226,7 @@ def _post_front(data: PseudoRiemannData) -> PostAbsorptionSW:
     return PostAbsorptionSW(data.u_r, C, D, E, data.rho_r, data.n)
 
 
+@_in_float_range
 def post_absorption(data: PseudoRiemannData):
     """Constants and closed forms for the front after full absorption.
 
@@ -223,6 +240,7 @@ def post_absorption(data: PseudoRiemannData):
     return PostAbsorptionConstants(f.C, f.D, f.E), f.xi, f.sigma
 
 
+@_in_float_range
 def origin_hit_time(data: PseudoRiemannData) -> Optional[float]:
     """Time the shadow front reaches r = 0, if ever.
 
@@ -302,6 +320,7 @@ def _next_event(data: PseudoRiemannData, fronts, regions, t0: float):
     return name, (ts[0] if ts else None)
 
 
+@_in_float_range
 def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
     """Exact global plan for the datum, one phase per event of the module
     rule; phases partition [0, inf) structurally, t_max gates sampling via
@@ -313,35 +332,31 @@ def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
     S = surface_area(data.n)
     events, phases = {}, []
     t0 = m0 = p0 = 0.0
-    try:
-        fronts, regions = _waves(data, tag.kind)
-        if not regions[0].is_vacuum and data.u_l > 0:
-            # the interior gas moves outward and leaves vacuum at the origin
-            fronts.insert(0, LinearFront(VACUUM_EDGE, 0.0, data.u_l))
-            regions.insert(0, RegionProfile.vacuum())
-        while True:
-            name, t1 = _next_event(data, fronts, regions, t0)
-            m0s, p0s = _ledger_slopes(regions[0], S)
-            phases.append(Phase(t0, INF if t1 is None else t1, tuple(fronts),
-                                tuple(regions), m0_start=m0, m0_slope=m0s,
-                                p0_start=p0, p0_slope=p0s))
-            if t1 is None:
-                break
-            events[name] = t1
-            m0 += m0s * (t1 - t0)
-            p0 += p0s * (t1 - t0)
-            if name == "t_in":
-                fronts, regions = [_post_front(data)], [regions[0], regions[2]]
-            else:
-                f, fronts, regions = fronts[0], fronts[1:], regions[1:]
-                if f.kind == SHADOW_WAVE:
-                    dm = f.total_mass(S, t1)
-                    m0 += dm
-                    p0 += dm * f.speed(t1)
-            t0 = t1
-    except ArithmeticError as exc:
-        raise DomainError("closed-form constants leave float range (%s)"
-                          % type(exc).__name__) from exc
+    fronts, regions = _waves(data, tag.kind)
+    if not regions[0].is_vacuum and data.u_l > 0:
+        # the interior gas moves outward and leaves vacuum at the origin
+        fronts.insert(0, LinearFront(VACUUM_EDGE, 0.0, data.u_l))
+        regions.insert(0, RegionProfile.vacuum())
+    while True:
+        name, t1 = _next_event(data, fronts, regions, t0)
+        m0s, p0s = _ledger_slopes(regions[0], S)
+        phases.append(Phase(t0, INF if t1 is None else t1, tuple(fronts),
+                            tuple(regions), m0_start=m0, m0_slope=m0s,
+                            p0_start=p0, p0_slope=p0s))
+        if t1 is None:
+            break
+        events[name] = t1
+        m0 += m0s * (t1 - t0)
+        p0 += p0s * (t1 - t0)
+        if name == "t_in":
+            fronts, regions = [_post_front(data)], [regions[0], regions[2]]
+        else:
+            f, fronts, regions = fronts[0], fronts[1:], regions[1:]
+            if f.kind == SHADOW_WAVE:
+                dm = f.total_mass(S, t1)
+                m0 += dm
+                p0 += dm * f.speed(t1)
+        t0 = t1
     return WavePlan(data=data, case=tag, phases=tuple(phases), events=events,
                     t_max=float(t_max))
 

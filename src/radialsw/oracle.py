@@ -3,16 +3,14 @@
 In the linear-mass variables lambda = |S^{n-1}| rho r^{n-1} the radial
 system is exactly one-dimensional pressureless gas dynamics on the half
 line, with the origin absorbing incoming mass at zero velocity.  Particles
-therefore move ballistically between events, merge conserving mass and
-momentum when they collide, and deposit their mass into m0 on reaching
-r = 0.  Cell masses are exact integrals of the initial data, which makes
-total mass plus m0 conserved to rounding.
+therefore move ballistically between collisions, merge conserving mass and
+momentum, and deposit their mass into m0 on reaching r = 0.  Cell masses
+are exact integrals of the initial data, which makes total mass plus m0
+conserved to rounding.
 """
 from __future__ import annotations
 
-import heapq
 import math
-from array import array
 from typing import Optional, Tuple
 
 import numpy as np
@@ -21,19 +19,62 @@ from .core import DomainError, PseudoRiemannData, WavePlan, SHADOW_WAVE, surface
 from . import verify
 
 GROUP_TOL = 1e-12
-_COLLIDE = 0
-_ORIGIN = 1
+
+
+def _pool(v, m, u, a, hits, value):
+    """Pool adjacent violators of the nondecreasing order of v (memoryviews
+    of floats, like m, u and a), growing a block from each k in hits
+    (v[k+1] <= v[k], increasing) until it is in order with its neighbours;
+    a tie counts as a violation.  value(M, P, Q) is the value of a block of
+    mass M > 0 from the sums of m, m u and m a; a massless block keeps the
+    value it grew from.  Returns the blocks (lo, hi, M, P, Q, V) of two or
+    more elements, hi inclusive."""
+    n, blocks = len(v), []
+    for k in hits:
+        if blocks and k <= blocks[-1][1]:
+            continue
+        lo = hi = k
+        M, P, Q, V = m[k], m[k] * u[k], m[k] * a[k], v[k]
+        while True:
+            if hi + 1 < n and v[hi + 1] <= V:
+                hi += 1
+                mi = m[hi]
+                M, P, Q = M + mi, P + mi * u[hi], Q + mi * a[hi]
+            elif blocks and blocks[-1][1] == lo - 1:
+                if blocks[-1][5] < V:
+                    break
+                lo, _, bM, bP, bQ, _ = blocks.pop()
+                M, P, Q = bM + M, bP + P, bQ + Q
+            elif lo > 0 and v[lo - 1] >= V:
+                lo -= 1
+                mi = m[lo]
+                M, P, Q = mi + M, mi * u[lo] + P, mi * a[lo] + Q
+            else:
+                break
+            if M:
+                V = value(M, P, Q)
+        blocks.append((lo, hi, M, P, Q, V))
+    return blocks
 
 
 class ParticleSystem:
     """Ordered sticky particles on (0, r_max] plus absorbed origin mass.
 
-    Particle i follows r(t) = a[i] + u[i] * t until its next event; the
-    intercept form keeps collision times independent of the current clock.
-    The state lives in flat typed buffers that the event loop indexes as
-    Python floats and ints; the queries read numpy views of the same memory.
-    Heap entries are (t, kind, i, j, version_i, version_j) tuples, so the
-    pop order depends only on which events are pending, not on push order.
+    One row per cluster in intercept form: cluster i sits at a[i] + u[i] t
+    with mass m[i].  In 1-D the sticky state at time t is the mass-weighted
+    projection of the free motion a + u t onto nondecreasing maps (Brenier &
+    Grenier, SIAM J. Numer. Anal. 35, 1998; Natile & Savare, SIAM J. Math.
+    Anal. 41, 2009), and clusters never split, so run_until pools adjacent
+    violators of a + u t starting from the clusters it last left.
+
+    Matter that reaches r <= 0 in the free problem moves inward and only
+    meets matter with a smaller velocity, which lies at r < 0 too when they
+    meet; so the absorbing half-line problem is the free problem restricted
+    to r > 0, and the clusters at a + u t <= 0 hold m0.  The first of them
+    to reach the origin is the prefix whose centre of mass crosses r = 0
+    first, at the mean of its members' crossing times -a/u weighted by their
+    inward momentum -m u; so the deposits are the pooled blocks of those
+    times, one (time, mass) in absorptions each.
     """
 
     def __init__(self, n: int, positions, masses, velocities, time: float = 0.0):
@@ -43,158 +84,76 @@ class ParticleSystem:
         if positions.ndim != 1 or positions.shape != masses.shape \
                 or positions.shape != velocities.shape:
             raise DomainError("positions, masses, velocities must align")
-        if positions.size and np.any(np.diff(positions) <= 0):
-            raise DomainError("positions must be strictly increasing")
+        if positions.size and not (positions[0] > 0 and np.all(np.diff(positions) > 0)):
+            raise DomainError("positions must be > 0 and strictly increasing")
         if np.any(masses < 0):
             raise DomainError("masses must be >= 0")
-        self.n = n
-        self.time = float(time)
-        self.m0 = 0.0
+        self.n, self.time, self.m0 = n, float(time), 0.0
         self.absorptions: list = []  # (time, mass) per origin deposit
-        N = positions.size
-        self._a, self._u, self._m = (array("d", [0.0]) * N for _ in range(3))
-        self._prev, self._next, self._version = (array("q", [0]) * N for _ in range(3))
-        self._alive = bytearray(b"\x01") * N
-        a, u, m = self._av, self._uv, self._mv = [
-            np.frombuffer(x, dtype=float) for x in (self._a, self._u, self._m)]
-        np.subtract(positions, velocities * self.time, out=a)
-        u[:], m[:] = velocities, masses
-        prev, nxt = (np.frombuffer(x, dtype=np.int64) for x in (self._prev, self._next))
-        prev[:] = np.arange(-1, N - 1)
-        np.add(prev, 2, out=nxt)
-        nxt[-1:] = -1
-        self._alive_v = np.frombuffer(self._alive, dtype=bool)
-        # every particle's first events at once, as _push_events would push
-        # them; np.where(t < t0, t0, t) is Python's max(t, t0)
-        t0 = self.time
-        i = np.flatnonzero(u[:-1] > u[1:])
-        k = np.flatnonzero(u < 0.0)
-        with np.errstate(over="ignore"):
-            tc = (a[i + 1] - a[i]) / (u[i] - u[i + 1])
-            to = -a[k] / u[k]
-        i, tc = i[np.isfinite(tc)], tc[np.isfinite(tc)]
-        k, to = k[np.isfinite(to)], to[np.isfinite(to)]
-        self._heap = [(t, _COLLIDE, ii, ii + 1, 0, 0) for t, ii in
-                      zip(np.where(tc < t0, t0, tc).tolist(), i.tolist())]
-        self._heap += [(t, _ORIGIN, kk, -1, 0, 0) for t, kk in
-                       zip(np.where(to < t0, t0, to).tolist(), k.tolist())]
-        heapq.heapify(self._heap)
+        self._a = positions - velocities * self.time
+        self._u, self._m = velocities.copy(), masses.copy()
 
     # -- queries ----------------------------------------------------------
 
-    def position(self, i: int, t: Optional[float] = None) -> float:
-        t = self.time if t is None else t
-        return self._a[i] + self._u[i] * t
-
     @property
     def alive_count(self) -> int:
-        return int(np.count_nonzero(self._alive_v))
-
-    def alive_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._alive_v)
+        return int(self._m.size)
 
     def radii(self) -> np.ndarray:
-        idx = self.alive_indices()
-        return self._av[idx] + self._uv[idx] * self.time
+        return self._a + self._u * self.time
 
     def masses(self) -> np.ndarray:
-        return self._mv[self.alive_indices()]
+        return self._m.copy()
 
     def velocities(self) -> np.ndarray:
-        return self._uv[self.alive_indices()]
+        return self._u.copy()
 
     def total_mass(self) -> float:
-        return float(self._mv[self._alive_v].sum())
+        return float(self._m.sum())
 
     def total_momentum(self) -> float:
-        mask = self._alive_v
-        return float((self._mv[mask] * self._uv[mask]).sum())
+        return float((self._m * self._u).sum())
 
-    # -- event machinery --------------------------------------------------
-
-    def _push_events(self, i: int):
-        # the divisors are nonzero (u_i > u_j, or u_i < 0); a quotient
-        # beyond float range is inf, and such events never fire
-        alive, a, u = self._alive, self._a, self._u
-        if not alive[i]:
-            return
-        j = self._next[i]
-        if j >= 0 and alive[j] and u[i] > u[j]:
-            tc = (a[j] - a[i]) / (u[i] - u[j])
-            if math.isfinite(tc):
-                heapq.heappush(self._heap, (max(tc, self.time), _COLLIDE, i, j,
-                                            self._version[i], self._version[j]))
-        if u[i] < 0.0:
-            to = -a[i] / u[i]
-            if math.isfinite(to):
-                heapq.heappush(self._heap, (max(to, self.time), _ORIGIN, i, -1,
-                                            self._version[i], 0))
-
-    def _merge(self, i: int, j: int, t: float):
-        # j is i's right neighbor; both at the same point at time t
-        a, u, m = self._a, self._u, self._m
-        mi, mj = m[i], m[j]
-        mass = mi + mj
-        if mass == 0.0:  # two massless particles: nan, as numpy's 0/0 gave
-            x = v = math.nan
-        else:
-            x = (mi * (a[i] + u[i] * t) + mj * (a[j] + u[j] * t)) / mass
-            v = (mi * u[i] + mj * u[j]) / mass
-        self._alive[j] = 0
-        self._version[i] += 1
-        self._version[j] += 1
-        m[i] = mass
-        u[i] = v
-        a[i] = x - v * t
-        nj = self._next[j]
-        self._next[i] = nj
-        if nj >= 0:
-            self._prev[nj] = i
-        self._push_events(i)
-        p = self._prev[i]
-        if p >= 0:
-            self._push_events(p)
-
-    def _absorb(self, i: int, t: float):
-        mi = self._m[i]
-        self.m0 += mi
-        self.absorptions.append((t, mi))
-        self._alive[i] = 0
-        self._version[i] += 1
-        nxt, p = self._next[i], self._prev[i]
-        if nxt >= 0:
-            self._prev[nxt] = p
-        if p >= 0:
-            self._next[p] = nxt
+    # -- evolution --------------------------------------------------------
 
     def run_until(self, t_end: float) -> "ParticleSystem":
         if t_end < self.time - GROUP_TOL:
             raise DomainError("cannot run backwards")
-        heap, alive, version, nxt = self._heap, self._alive, self._version, self._next
-        pop = heapq.heappop
-        while heap and heap[0][0] <= t_end:
-            t, kind, i, j, vi, vj = pop(heap)
-            if not alive[i] or version[i] != vi:
-                continue
-            if kind == _COLLIDE and (not alive[j] or version[j] != vj
-                                     or nxt[i] != j):
-                continue
-            self.time = max(self.time, t)
-            if kind == _COLLIDE:
-                self._merge(i, j, self.time)
-            else:
-                self._absorb(i, self.time)
-        self.time = max(self.time, float(t_end))
-        # the intercept form can round distinct neighbours onto one point
-        # (or past each other) with no event due; a zero gap is contact
-        while True:
-            idx = self.alive_indices()
-            x = self._av[idx] + self._uv[idx] * self.time
-            touching = np.flatnonzero(np.diff(x) <= 0.0)
-            if touching.size == 0:
-                return self
-            for k in touching[::-1].tolist():
-                self._merge(int(idx[k]), int(idx[k + 1]), self.time)
+        t0, t = self.time, max(self.time, float(t_end))
+        self.time = t
+        a, u, m = self._a, self._u, self._m
+        y = a + u * t
+        hits = np.flatnonzero(y[1:] <= y[:-1]).tolist()
+        if not hits and not (y.size and y[0] <= 0.0):
+            return self
+        mua = memoryview(m), memoryview(u), memoryview(a)
+        blocks = _pool(memoryview(y), *mua, hits,
+                       lambda M, P, Q: Q / M + P / M * t)
+        for lo, hi, _, _, _, V in blocks:
+            y[lo:hi + 1] = V
+        K = int(np.searchsorted(y, 0.0, side="right"))
+        if K:  # the first K rows reached r = 0 during (t0, t]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                ts = np.where(u[:K] < 0.0, -a[:K] / u[:K], math.inf)
+            deposits = _pool(memoryview(ts), *mua,
+                             np.flatnonzero(ts[1:] <= ts[:-1]).tolist(),
+                             lambda M, P, Q: Q / -P if P < 0.0 else math.inf)
+            ms, keep = m[:K].copy(), np.ones(K, dtype=bool)
+            for lo, hi, M, _, _, V in deposits:
+                ts[lo], ms[lo], keep[lo + 1:hi + 1] = V, M, False
+            ms = ms[keep].tolist()
+            self.absorptions += zip(np.clip(ts[keep], t0, t).tolist(), ms)
+            for mi in ms:
+                self.m0 += mi
+        keep = np.ones(y.size, dtype=bool)
+        keep[:K] = False
+        for lo, hi, M, P, Q, _ in blocks:
+            if lo >= K:
+                keep[lo + 1:hi + 1] = False
+                d = M or math.nan  # a massless block has no centre
+                a[lo], u[lo], m[lo] = Q / d, P / d, M
+        self._a, self._u, self._m = a[keep], u[keep], m[keep]
+        return self
 
 
 def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:
@@ -233,13 +192,13 @@ def front_extract(ps: ParticleSystem, mass_fraction: float = 0.05
     cluster holds more than mass_fraction of the conserved total."""
     if not (0.0 < mass_fraction < 1.0):
         raise DomainError("mass_fraction must lie in (0, 1)")
-    masses = ps.masses()
+    masses = ps._m
     if masses.size == 0:
         return None
     k = int(np.argmax(masses))
     if masses[k] <= mass_fraction * (ps.total_mass() + ps.m0):
         return None
-    return ps.position(int(ps.alive_indices()[k])), float(masses[k])
+    return float(ps._a[k] + ps._u[k] * ps.time), float(masses[k])
 
 
 def largest_absorption_time(ps: ParticleSystem) -> Optional[float]:

@@ -1,13 +1,18 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import radialsw.cli as cli
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 WORKED = {"n": 2, "R": 1.0, "rho_l": 1.0, "rho_r": 1.0, "u_l": 1.0, "u_r": -1.0}
 CONTACT = {"n": 2, "R": 1.0, "rho_l": 2.0, "rho_r": 0.5, "u_l": 1.0, "u_r": 1.0}
@@ -328,22 +333,23 @@ def test_oracle_csv(tmp_path):
     assert float(row["mass_exact"]) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
-# oracle.csv digests recorded with the per-particle event loop that preceded
-# the flat-buffer one: n = 1..4, snapshots past t_sw0 after absorption and
+# oracle.csv files of n = 1..4: snapshots past t_sw0 after absorption and
 # the origin dump, an inflow hit, a vacuum fan and a drained side that feed
-# m0, a contact with u = -0.0, and R on a cell edge (r_max / N dyadic)
+# m0, a contact with u = -0.0, and R on a cell edge (r_max / N dyadic).
+# tests/data/oracle_<name>.csv holds each file as the heap event loop that
+# preceded the projection oracle wrote it; the digests pin today's bytes.
 GOLDEN_ORACLE = [
     ("worked_n2", WORKED, 5.0,
      {"N": [300, 1000], "r_max": 5.3, "times": [0.5, 2.0, 3.9, 4.5]},
-     "972058080b0ccddeb7c82ccaf23193580ff267c3b2cea348fc67c281ff076720"),
+     "d5b9d29c65c502b9f9f6f635273a819a1d90f8b021df4bf0348fc8fb23d159d5"),
     ("absorb_dump_edge_n1",
      dict(n=1, R=1.0, rho_l=1.0, rho_r=4.0, u_l=2.0, u_r=-1.0), 4.0,
      {"N": [512], "r_max": 4.0, "times": [0.25, 1.0, 2.5, 3.0, 3.5]},
-     "c88fa7b5e0145240eb76f1226412600987b8a812f22951320247f4fe25b9230b"),
+     "ae73ac88444e1bdf508e1dd46875de0e2321672618b47bd1a74cdbee7ddf9198"),
     ("inflow_hit_n3",
      dict(n=3, R=2.0, rho_l=2.0, rho_r=0.5, u_l=-0.5, u_r=-1.5), 3.0,
      {"N": [400], "r_max": 6.0, "times": [0.5, 2.0, 2.6]},
-     "6fc44e63550f642425953f6ee344d419373c0c4397a93bfdebc84410bfcbc803"),
+     "c11b6bd1f88229b5ef6faef11ada19f243156a7bf2dc5071bb9697b3bd53fccb"),
     ("fan_n4", dict(n=4, R=1.0, rho_l=1.0, rho_r=2.0, u_l=-1.0, u_r=0.5), 2.0,
      {"N": [800], "r_max": 4.0, "times": [0.3, 0.7, 1.2, 2.0]},
      "97987e53efcd065da771fac7150d08f5eb8f3a7f1b32c5aa4323cb357dd1268a"),
@@ -356,6 +362,7 @@ GOLDEN_ORACLE = [
      {"N": [333], "r_max": 2.5, "times": [0.5, 1.5, 2.5]},
      "267917c67d460d4daf9758540b77d8deadf4f759c23a5d1efb2c59e5f13a844d"),
 ]
+ORACLE_COLUMNS = ("pos_oracle", "mass_oracle", "m0_oracle")
 
 
 @pytest.mark.parametrize("name, data, t_max, oracle, digest", GOLDEN_ORACLE,
@@ -365,7 +372,21 @@ def test_oracle_bytes_match_golden_digest(tmp_path, name, data, t_max, oracle,
     cfg = write_config(tmp_path, data=data, t_max=t_max, oracle=oracle)
     code, out = run(tmp_path, "oracle", cfg)
     assert code == 0
-    assert hashlib.sha256((out / "oracle.csv").read_bytes()).hexdigest() == digest
+    text = (out / "oracle.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == digest
+    # against the heap event loop: the exact columns and the empty cells
+    # byte for byte, the oracle's numbers to 1e-11
+    want = (DATA / ("oracle_%s.csv" % name)).read_text(encoding="utf-8")
+    got_rows = list(csv.DictReader(io.StringIO(text.decode("utf-8"))))
+    want_rows = list(csv.DictReader(io.StringIO(want)))
+    assert len(got_rows) == len(want_rows)
+    for got, row in zip(got_rows, want_rows):
+        assert got.keys() == row.keys()
+        for key, cell in row.items():
+            if key in ORACLE_COLUMNS and cell and got[key]:
+                assert abs(float(got[key]) - float(cell)) <= 1e-11 * abs(float(cell))
+            else:
+                assert got[key] == cell, key
 
 
 # ---------------------------------------------------------------------------

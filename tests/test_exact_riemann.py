@@ -366,6 +366,17 @@ def test_constants_beyond_float_range_raise_domain_error(d):
         xr.solve(data(*d), 10.0)
 
 
+@pytest.mark.parametrize("fn, d", [
+    (xr.absorption_time, (1, 1.0, 1.0, 5e-324, 1e-300, 0.0)),
+    (xr.post_absorption, (1, 1.0, 1.0, 1.0, 1.0, -1e300)),
+    (xr.origin_hit_time, (1, 5e-324, 1.0, 5e-324, 5e-324, -1.7e308)),
+    (lambda d: xr.sigma_const(d, 1.0), (1, 5e-324, 5e-324, 5e-324, 5e-324, -1e-300)),
+], ids=["absorption_time", "post_absorption", "origin_hit_time", "sigma_const"])
+def test_public_closed_forms_raise_domain_error_beyond_float_range(fn, d):
+    with pytest.raises(DomainError, match="float range"):
+        fn(data(*d))
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
