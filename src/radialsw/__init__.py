@@ -41,7 +41,6 @@ from .exact_riemann import (
     evaluate_grid,
     first_root_speed,
     origin_hit_time,
-    origin_mass,
     post_absorption,
     second_root_speed,
     sigma_const,

@@ -8,7 +8,6 @@ example64 (closed forms of the nonconstant-speed front).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -32,13 +31,13 @@ _FMT = "%.17g"
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return _FMT % float(x)
+    return "" if x is None else _FMT % float(x)
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+              newline="") as fh:
+        fh.write(text)
 
 
 @dataclass
@@ -154,7 +153,7 @@ def cmd_solve(sc: Scenario, out_dir: str) -> int:
         pass
     t_in = plan.events.get("t_in")
     if t_in is not None and t_in <= sc.t_max:
-        post = plan.phase_at(t_in).fronts[0]  # the post-absorption front
+        post, _, _ = exact.post_absorption(sc.data)
         lines += ["t_in %s" % _fmt(t_in), "C %s" % _fmt(post.C),
                   "D %s" % _fmt(post.D), "E %s" % _fmt(post.E)]
     for name, t in sorted(plan.events.items(), key=lambda kv: (kv[1], kv[0])):
@@ -170,9 +169,7 @@ def cmd_solve(sc: Scenario, out_dir: str) -> int:
         for rg in ph.regions:
             lines.append("  region %s coeff=%s u=%s" % (
                 rg.kind, _fmt(rg.coeff), _fmt(rg.velocity)))
-    with open(os.path.join(out_dir, "plan.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out_dir, "plan.txt", "\n".join(lines) + "\n")
     return 0
 
 
@@ -210,11 +207,9 @@ def _sample_text(plan: WavePlan, t_grid, r_grid) -> str:
 
 def cmd_sample(sc: Scenario, out_dir: str) -> int:
     plan = exact.solve(sc.data, sc.t_max)
-    text = _sample_text(plan, sc.t_grid, sc.r_grid)
-    with open(os.path.join(out_dir, "samples.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write("r,t,rho,u,is_vacuum,m0,atom_radius,atom_sigma,"
-                 "atom_total_mass\n" + text)
+    _write(out_dir, "samples.csv",
+           "r,t,rho,u,is_vacuum,m0,atom_radius,atom_sigma,atom_total_mass\n"
+           + _sample_text(plan, sc.t_grid, sc.r_grid))
     return 0
 
 
@@ -276,18 +271,14 @@ def cmd_verify(sc: Scenario, out_dir: str) -> int:
             lines.append("check weak_ladder PASS no delta front")
         else:
             report = verify.residual_ladder(plan, phi)
-            ok = all(not np.isfinite(o) or o >= verify.LADDER_ORDER_GATE
-                     for o in report.order.values())
-            record("weak_ladder", ok, " ".join(
+            record("weak_ladder", report.passed, " ".join(
                 "%s_order=%s" % (w, _fmt(o))
                 for w, o in sorted(report.order.items())))
     if sc.verify_example64:
         # the nonconstant-speed front is not dissipative at small times
         worst = max(_example64_entropy(np.linspace(0.1, 5.0, 50))[1])
         record("example64_entropy", worst <= 1e-12, "max_lhs=%s" % _fmt(worst))
-    with open(os.path.join(out_dir, "verify.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out_dir, "verify.txt", "\n".join(lines) + "\n")
     for ln in lines:
         print(ln)
     return 1 if failures else 0
@@ -295,22 +286,17 @@ def cmd_verify(sc: Scenario, out_dir: str) -> int:
 
 def cmd_oracle(sc: Scenario, out_dir: str) -> int:
     plan = exact.solve(sc.data, max(sc.t_max, max(sc.oracle_times)))
-    rows = []
+    rows = ["t,N,pos_exact,pos_oracle,mass_exact,mass_oracle,m0_exact,"
+            "m0_oracle"]
     for N in sc.oracle_N:
         ps = oracle_mod.discretize(sc.data, N, sc.oracle_r_max)
         for t in sorted(sc.oracle_times):
             ps.run_until(t)
             rep = oracle_mod.compare(plan, ps, t, sc.oracle_r_max)
-            rows.append([_fmt(t), str(N),
-                         _fmt(rep["pos_exact"]), _fmt(rep["pos_oracle"]),
-                         _fmt(rep["mass_exact"]), _fmt(rep["mass_oracle"]),
-                         _fmt(rep["m0_exact"]), _fmt(rep["m0_oracle"])])
-    with open(os.path.join(out_dir, "oracle.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "N", "pos_exact", "pos_oracle", "mass_exact",
-                    "mass_oracle", "m0_exact", "m0_oracle"])
-        w.writerows(rows)
+            rows.append(",".join([_fmt(t), str(N)] + [_fmt(rep[k]) for k in (
+                "pos_exact", "pos_oracle", "mass_exact", "mass_oracle",
+                "m0_exact", "m0_oracle")]))
+    _write(out_dir, "oracle.csv", "\n".join(rows) + "\n")
     return 0
 
 
@@ -331,18 +317,13 @@ def cmd_example64(sc: Scenario, out_dir: str) -> int:
     res1, res2 = sw_ode.ode_residual(
         sw_ode.nonentropic_example, sw_ode.nonentropic_outer_states, 2, ts,
         derivatives=sw_ode.nonentropic_derivatives)
-    with open(os.path.join(out_dir, "example64.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "xi", "xi_dot", "sigma", "rho_l", "u_l", "entropy_lhs"])
-        for k, t in enumerate(ts):
-            w.writerow([_fmt(t), _fmt(xi[k]), _fmt(xid[k]), _fmt(sg[k]),
-                        _fmt(rl[k]), _fmt(ul[k]), _fmt(lhs[k])])
-    with open(os.path.join(out_dir, "example64.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("front ODE residuals: res1=%s res2=%s\n" % (_fmt(res1), _fmt(res2)))
-        fh.write("dissipation cubic is positive for small t"
-                 " (entropy condition violated) and changes sign near t=1.108\n")
+    rows = ["t,xi,xi_dot,sigma,rho_l,u_l,entropy_lhs"] + [
+        ",".join(map(_fmt, row)) for row in zip(ts, xi, xid, sg, rl, ul, lhs)]
+    _write(out_dir, "example64.csv", "\n".join(rows) + "\n")
+    _write(out_dir, "example64.txt",
+           "front ODE residuals: res1=%s res2=%s\n" % (_fmt(res1), _fmt(res2))
+           + "dissipation cubic is positive for small t"
+           " (entropy condition violated) and changes sign near t=1.108\n")
     return 0
 
 

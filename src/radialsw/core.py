@@ -260,11 +260,9 @@ class Phase:
 
 @dataclass(frozen=True)
 class CaseTag:
-    """Classification of pseudo-Riemann data."""
+    """Classification of pseudo-Riemann data; the plan's events say what
+    happens to it."""
     kind: str
-    has_absorption: bool = False
-    hits_origin: bool = False
-    left_drains: bool = False
 
     def __post_init__(self):
         if self.kind not in CASE_KINDS:
@@ -297,16 +295,10 @@ class WavePlan:
         return [f.state(t) for f in self.phase_at(t).fronts]
 
     def m0(self, t: float) -> float:
+        """Origin point mass m0(t): the running integral of the inflow flux
+        |S^{n-1}| lim r^{n-1} rho (-u)_+ plus the front dump at t_sw0,
+        assembled per phase; DomainError for t < 0."""
         return self.phase_at(t).m0(t)
-
-    def p0(self, t: float) -> float:
-        return self.phase_at(t).p0(t)
-
-    @property
-    def m0_law(self):
-        """Piecewise-linear m0 description: (t_start, t_end, m0_start, slope)."""
-        return tuple((p.t_start, p.t_end, p.m0_start, p.m0_slope)
-                     for p in self.phases)
 
 
 @dataclass(frozen=True)
@@ -383,11 +375,6 @@ class EpsFamily:
         c, u, strip = self.profile(rr, t)
         rho = np.where(strip, c, c * rr ** (1 - self.plan.data.n))
         return (float(rho), float(u)) if rr.ndim == 0 else (rho, u)
-
-    def moments(self, r: float, t: float):
-        """(rho, rho*u, rho*u^2, rho*u^3) at a point."""
-        rho, u = self.state(r, t)
-        return rho, rho * u, rho * u * u, rho * u ** 3
 
 
 # ---------------------------------------------------------------------------

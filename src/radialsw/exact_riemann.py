@@ -127,23 +127,19 @@ class PostAbsorptionConstants:
 # Classification and constant-speed closed forms
 
 def classify(data: PseudoRiemannData) -> CaseTag:
-    """Unique case tag of the datum with event flags."""
+    """Unique case tag of the datum."""
     rl, rr, ul, ur = data.rho_l, data.rho_r, data.u_l, data.u_r
     if rl == 0.0 and rr == 0.0:
         return CaseTag(ALL_VACUUM)
     if rl == 0.0:
-        return CaseTag(VACUUM_LEFT_SHOCK, hits_origin=ur < 0)
+        return CaseTag(VACUUM_LEFT_SHOCK)
     if rr == 0.0:
-        return CaseTag(VACUUM_RIGHT_SHOCK, hits_origin=ul < 0,
-                       left_drains=ul < 0)
+        return CaseTag(VACUUM_RIGHT_SHOCK)
     if ul > ur:
-        return CaseTag(DELTA_SHOCK,
-                       has_absorption=ul > 0,
-                       hits_origin=(ul <= 0) or (ur < 0),
-                       left_drains=ul < 0)
+        return CaseTag(DELTA_SHOCK)
     if ul < ur:
-        return CaseTag(VACUUM_FAN, hits_origin=ul < 0, left_drains=ul < 0)
-    return CaseTag(CASE_CONTACT, hits_origin=ul < 0, left_drains=ul < 0)
+        return CaseTag(VACUUM_FAN)
+    return CaseTag(CASE_CONTACT)
 
 
 def first_root_speed(rho0: float, u0: float, rho1: float, u1: float) -> float:
@@ -263,13 +259,6 @@ def origin_hit_time(data: PseudoRiemannData) -> Optional[float]:
     return roots[0] if roots else None
 
 
-def origin_mass(plan: WavePlan, t: float) -> float:
-    """Origin point mass m0(t): the running integral of the inflow flux
-    |S^{n-1}| lim r^{n-1} rho (-u)_+ plus the front dump at t_sw0,
-    assembled per phase in the plan; DomainError for t < 0."""
-    return plan.m0(t)
-
-
 # ---------------------------------------------------------------------------
 # Plan assembly
 
@@ -324,8 +313,10 @@ def _next_event(data: PseudoRiemannData, fronts, regions, t0: float):
 def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
     """Exact global plan for the datum, one phase per event of the module
     rule; phases partition [0, inf) structurally, t_max gates sampling via
-    evaluate().  An event time beyond float range counts as never, and
-    closed-form constants that leave float range raise DomainError."""
+    evaluate().  An event time that rounds to the start of its phase is
+    applied without a phase, an event time beyond float range counts as
+    never, and closed-form constants that leave float range raise
+    DomainError."""
     if not (t_max > 0):
         raise DomainError("t_max must be positive")
     tag = classify(data)
@@ -340,9 +331,10 @@ def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
     while True:
         name, t1 = _next_event(data, fronts, regions, t0)
         m0s, p0s = _ledger_slopes(regions[0], S)
-        phases.append(Phase(t0, INF if t1 is None else t1, tuple(fronts),
-                            tuple(regions), m0_start=m0, m0_slope=m0s,
-                            p0_start=p0, p0_slope=p0s))
+        if t1 != t0:  # an event at the phase start ends no phase
+            phases.append(Phase(t0, INF if t1 is None else t1, tuple(fronts),
+                                tuple(regions), m0_start=m0, m0_slope=m0s,
+                                p0_start=p0, p0_slope=p0s))
         if t1 is None:
             break
         events[name] = t1

@@ -19,6 +19,7 @@ from .core import DomainError, PseudoRiemannData, WavePlan, SHADOW_WAVE, surface
 from . import verify
 
 GROUP_TOL = 1e-12
+CLUSTER_FRACTION = 0.05  # least share of the total mass in a front cluster
 
 
 def _pool(v, m, u, a, hits, value):
@@ -26,9 +27,8 @@ def _pool(v, m, u, a, hits, value):
     of floats, like m, u and a), growing a block from each k in hits
     (v[k+1] <= v[k], increasing) until it is in order with its neighbours;
     a tie counts as a violation.  value(M, P, Q) is the value of a block of
-    mass M > 0 from the sums of m, m u and m a; a massless block keeps the
-    value it grew from.  Returns the blocks (lo, hi, M, P, Q, V) of two or
-    more elements, hi inclusive."""
+    mass M > 0 from the sums of m, m u and m a.  Returns the blocks (lo, hi,
+    M, P, Q, V) of two or more elements, hi inclusive."""
     n, blocks = len(v), []
     for k in hits:
         if blocks and k <= blocks[-1][1]:
@@ -51,8 +51,7 @@ def _pool(v, m, u, a, hits, value):
                 M, P, Q = mi + M, mi * u[lo] + P, mi * a[lo] + Q
             else:
                 break
-            if M:
-                V = value(M, P, Q)
+            V = value(M, P, Q)
         blocks.append((lo, hi, M, P, Q, V))
     return blocks
 
@@ -88,6 +87,10 @@ class ParticleSystem:
             raise DomainError("positions must be > 0 and strictly increasing")
         if np.any(masses < 0):
             raise DomainError("masses must be >= 0")
+        if not masses.all():  # massless particles carry nothing
+            keep = masses > 0
+            positions, masses, velocities = (positions[keep], masses[keep],
+                                             velocities[keep])
         self.n, self.time, self.m0 = n, float(time), 0.0
         self.absorptions: list = []  # (time, mass) per origin deposit
         self._a = positions - velocities * self.time
@@ -150,8 +153,7 @@ class ParticleSystem:
         for lo, hi, M, P, Q, _ in blocks:
             if lo >= K:
                 keep[lo + 1:hi + 1] = False
-                d = M or math.nan  # a massless block has no centre
-                a[lo], u[lo], m[lo] = Q / d, P / d, M
+                a[lo], u[lo], m[lo] = Q / M, P / M, M
         self._a, self._u, self._m = a[keep], u[keep], m[keep]
         return self
 
@@ -186,17 +188,14 @@ def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:
     return ParticleSystem(data.n, pos, mas, vel)
 
 
-def front_extract(ps: ParticleSystem, mass_fraction: float = 0.05
-                  ) -> Optional[Tuple[float, float]]:
+def front_extract(ps: ParticleSystem) -> Optional[Tuple[float, float]]:
     """Position and mass of the largest merged cluster, or None while no
-    cluster holds more than mass_fraction of the conserved total."""
-    if not (0.0 < mass_fraction < 1.0):
-        raise DomainError("mass_fraction must lie in (0, 1)")
+    cluster holds more than CLUSTER_FRACTION of the conserved total."""
     masses = ps._m
     if masses.size == 0:
         return None
     k = int(np.argmax(masses))
-    if masses[k] <= mass_fraction * (ps.total_mass() + ps.m0):
+    if masses[k] <= CLUSTER_FRACTION * (ps.total_mass() + ps.m0):
         return None
     return float(ps._a[k] + ps._u[k] * ps.time), float(masses[k])
 

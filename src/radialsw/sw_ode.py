@@ -12,7 +12,6 @@ whose left state is smooth but which violates the dissipation inequality.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -99,10 +98,6 @@ class FrontTrajectory:
         y = self.sol(np.clip(t, self.t_start, self.t_end))
         return y[0], y[1], y[2]
 
-    @property
-    def samples(self):
-        return list(zip(self.t, self.xi, self.speed, self.sigma))
-
 
 def integrate_front(ivp: FrontIVP, t_end: float, tol: float = 1e-10,
                     atol: float = 1e-12) -> FrontTrajectory:
@@ -139,11 +134,8 @@ def integrate_front(ivp: FrontIVP, t_end: float, tol: float = 1e-10,
     # raising and let the terminal events handle genuine crossings.
     def rhs(t, y):
         xi, speed, sigma = y
-        xi = max(xi, _XI_TINY)
-        rho0, u0, rho1, u1 = states(t, xi)
-        k1, k2 = kappa_fluxes(speed, rho0, u0, rho1, u1)
-        dsg = k1 - (n - 1) * speed * sigma / xi
-        dsp = (k2 - speed * k1) / max(sigma, _SIGMA_FLOOR)
+        dsg, dsp = front_rhs(t, max(xi, _XI_TINY), speed,
+                             max(sigma, _SIGMA_FLOOR), states, n)
         return [speed, dsp, dsg]
 
     def hit_origin(t, y):
@@ -220,51 +212,23 @@ def nonentropic_outer_states(t, xi):
 # ---------------------------------------------------------------------------
 # Residual checks
 
-def _as_front_callable(front):
-    if isinstance(front, FrontTrajectory):
-        return front
-    if callable(front):
-        return lambda t: front(t)[:3]
-    raise DomainError("front must be a trajectory or a callable of t")
-
-
-def _fd_derivatives(front, grid, h_scale=1e-4):
-    """5-point central differences of sigma and xid along the grid."""
-    f = _as_front_callable(front)
-    sds, xdds = [], []
-    for t in grid:
-        h = h_scale * max(1.0, abs(t))
-        ts = np.array([t - 2 * h, t - h, t + h, t + 2 * h])
-        vals = [f(tt) for tt in ts]
-        xid = np.array([v[1] for v in vals])
-        sg = np.array([v[2] for v in vals])
-        w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-        sds.append(float(np.dot(w, sg)))
-        xdds.append(float(np.dot(w, xid)))
-    return np.array(sds), np.array(xdds)
-
-
 def ode_residual(front, outer_states: Callable, n: int, grid,
-                 derivatives: Optional[Callable] = None):
+                 derivatives: Callable):
     """Max-norm residuals of the two front equations along `grid`.
 
-    front: FrontTrajectory or callable t -> (xi, xid, sigma, ...).
-    derivatives: optional callable t -> (d sigma/dt, d xid/dt); finite
-    differences of the front are used when absent.
+    front: callable t -> (xi, xid, sigma, ...), such as a FrontTrajectory.
+    derivatives: callable t -> (d sigma/dt, d xid/dt), the analytic
+    derivatives of the front.
     """
     grid = np.asarray(grid, dtype=float)
-    f = _as_front_callable(front)
-    if derivatives is not None:
-        sigma_dot, xi_ddot = derivatives(grid)
-        sigma_dot = np.broadcast_to(np.asarray(sigma_dot, float), grid.shape)
-        xi_ddot = np.broadcast_to(np.asarray(xi_ddot, float), grid.shape)
-    else:
-        sigma_dot, xi_ddot = _fd_derivatives(front, grid)
+    sigma_dot, xi_ddot = derivatives(grid)
+    sigma_dot = np.broadcast_to(np.asarray(sigma_dot, float), grid.shape)
+    xi_ddot = np.broadcast_to(np.asarray(xi_ddot, float), grid.shape)
 
     res1 = np.empty_like(grid)
     res2 = np.empty_like(grid)
     for k, t in enumerate(grid):
-        xi, xid, sigma = (float(v) for v in f(t))
+        xi, xid, sigma = (float(v) for v in front(t)[:3])
         rho0, u0, rho1, u1 = outer_states(t, xi)
         k1, k2 = kappa_fluxes(xid, rho0, u0, rho1, u1)
         res1[k] = sigma_dot[k] + (n - 1) * xid * sigma / xi - k1

@@ -94,11 +94,9 @@ def _phase_geometry(plan: WavePlan, t: float, r_max: float):
     return ph, bounds
 
 
-def _totals(plan: WavePlan, t: float, r_max: float,
-            boundary_correction: bool = True):
-    """(Q, M) in one pass: origin ledgers, regular power-law integrals and
-    shadow-front atoms, plus the constant outflow through r_max when
-    enabled."""
+def _totals(plan: WavePlan, t: float, r_max: float):
+    """(Q, M) in one pass: origin ledgers, regular power-law integrals,
+    shadow-front atoms, and the constant outflow through r_max."""
     ph, bounds = _phase_geometry(plan, t, r_max)
     n = plan.data.n
     S = surface_area(n)
@@ -112,26 +110,23 @@ def _totals(plan: WavePlan, t: float, r_max: float,
             atom = S * f.xi(t) ** (n - 1) * f.sigma(t)
             Q += atom
             M += atom * f.speed(t)
-    if boundary_correction:
-        out = ph.regions[-1]
-        if not out.is_vacuum:
-            Q += S * out.coeff * out.velocity * t
-            M += S * out.coeff * out.velocity ** 2 * t
+    out = ph.regions[-1]
+    if not out.is_vacuum:
+        Q += S * out.coeff * out.velocity * t
+        M += S * out.coeff * out.velocity ** 2 * t
     return Q, M
 
 
-def total_mass(plan: WavePlan, t: float, r_max: float,
-               boundary_correction: bool = True) -> float:
-    """Q(t) = m0 + regular power-law integrals + shadow-front atoms,
-    plus the constant outflow through r_max when enabled."""
-    return _totals(plan, t, r_max, boundary_correction)[0]
+def total_mass(plan: WavePlan, t: float, r_max: float) -> float:
+    """Q(t) = m0 + regular power-law integrals + shadow-front atoms
+    + the constant outflow through r_max."""
+    return _totals(plan, t, r_max)[0]
 
 
-def total_momentum(plan: WavePlan, t: float, r_max: float,
-                   boundary_correction: bool = True) -> float:
-    """M(t) = origin momentum tally + regular momentum + atom momentum,
-    plus the constant momentum outflow through r_max when enabled."""
-    return _totals(plan, t, r_max, boundary_correction)[1]
+def total_momentum(plan: WavePlan, t: float, r_max: float) -> float:
+    """M(t) = origin momentum tally + regular momentum + atom momentum
+    + the constant momentum outflow through r_max."""
+    return _totals(plan, t, r_max)[1]
 
 
 def conserved_pair(plan: WavePlan, t: float, r_max: float) -> ConservedPair:
@@ -193,22 +188,6 @@ class TestFunction:
 
     def dt(self, r, t):
         return self.jet(r, t)[2]
-
-
-def gl_panel(f, a: float, b: float) -> float:
-    """16-node Gauss-Legendre integral of vectorized f over [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(f(mid + half * _GL_X), _GL_W))
-
-
-def composite_gl(f, breaks: Sequence[float]) -> float:
-    """Composite 16-node rule over consecutive panels of `breaks`."""
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a > 1e-14:
-            total += gl_panel(f, a, b)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +295,13 @@ class ResidualReport:
     residuals: dict
     order: dict
 
+    @property
+    def passed(self) -> bool:
+        """Every finite order is >= LADDER_ORDER_GATE (a nan order, fewer
+        than three residuals above the floor, does not fail the ladder)."""
+        return all(not math.isfinite(o) or o >= LADDER_ORDER_GATE
+                   for o in self.order.values())
+
 
 def fit_order(eps: Sequence[float], residuals: Sequence[float],
               floor: float = ORDER_FIT_FLOOR) -> float:
@@ -335,9 +321,8 @@ def residual_ladder(plan: WavePlan, phi: TestFunction,
                     which: Iterable[str] = ("mass", "momentum"),
                     eps0: float = 1e-2, halvings: int = 6) -> ResidualReport:
     """Weak residuals over the ladder eps0, eps0/2, ..., eps0/2^halvings
-    with fitted convergence order per equation.  A ladder passes iff every
-    finite order is >= LADDER_ORDER_GATE (a nan order, fewer than three
-    residuals above the floor, does not fail it)."""
+    with fitted convergence order per equation; ResidualReport.passed
+    is the verdict."""
     ladder = tuple(eps0 * 0.5 ** k for k in range(halvings + 1))
     residuals = {}
     order = {}

@@ -389,6 +389,53 @@ def test_oracle_bytes_match_golden_digest(tmp_path, name, data, t_max, oracle,
                 assert got[key] == cell, key
 
 
+# plan.txt and verify.txt digests: the worked datum, a vacuum fan, and an
+# inflow-hit delta shock whose verify also runs the expected example64
+# failure; example64.csv and example64.txt below
+GOLDEN_REPORTS = [
+    ("worked_n2", WORKED, 5.0, {},
+     "457cac712004bbdf720c4a5c06370302b10692ed70e2c28c68f367fd34b2f7df",
+     "adb03ac8ac54deaa21f4a48ae3571552d6f3b2538b184c2e9b3268493ae0e29b"),
+    ("fan_n4", dict(n=4, R=1.0, rho_l=1.0, rho_r=2.0, u_l=-1.0, u_r=0.5), 2.0,
+     {},
+     "6c88554c6ddcc6dca7d62c162678784e2040b21b1e9f38f0b96e1839ad210041",
+     "6773ebbe1c1fdcd692e7d444d69f0052d437fda1f45cf771ced057c55784e5a4"),
+    ("inflow_hit_example64_n3",
+     dict(n=3, R=2.0, rho_l=2.0, rho_r=0.5, u_l=-0.5, u_r=-1.5), 3.0,
+     {"example64": True, "expected_fail": ["example64_entropy"]},
+     "41db533a1efcc8a8979bc435f3e9adab8caaf048f5ef4a1e8dc11f2557185f6d",
+     "03e7c27478ec36aad1bc911ad0035647580a511417d743f651f83fb8bf45c90f"),
+]
+
+
+@pytest.mark.parametrize("name, data, t_max, ver, plan_digest, verify_digest",
+                         GOLDEN_REPORTS, ids=[g[0] for g in GOLDEN_REPORTS])
+def test_reports_match_golden_digest(tmp_path, name, data, t_max, ver,
+                                     plan_digest, verify_digest):
+    overrides = {"verify": ver} if ver else {}
+    cfg = write_config(tmp_path, data=data, t_max=t_max, **overrides)
+    for command, fname, digest in (("solve", "plan.txt", plan_digest),
+                                   ("verify", "verify.txt", verify_digest)):
+        code, out = run(tmp_path, command, cfg)
+        assert code == 0
+        assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest
+
+
+GOLDEN_EXAMPLE64 = {
+    "example64.csv":
+        "9c072763272d56f0567478bea46ce8891ffd6882d8960d2778454bdc12cc07bb",
+    "example64.txt":
+        "9dcb40a9690d10a4eea92d8e829d664c261a8f4f4fb921c3be49b8b161979e74",
+}
+
+
+def test_example64_bytes_match_golden_digest(tmp_path):
+    code, out = run(tmp_path, "example64", write_config(tmp_path))
+    assert code == 0
+    for fname, digest in GOLDEN_EXAMPLE64.items():
+        assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # example64
 

@@ -133,13 +133,6 @@ def test_phase_lookup_half_open():
         plan.phase_at(-0.1)
 
 
-def test_m0_law_shape():
-    plan = _tiny_plan()
-    law = plan.m0_law
-    assert law[0] == (0.0, 2.0, 0.0, 0.5)
-    assert law[1][2] == 1.0
-
-
 def test_region_index_picks_outer_side_on_front():
     plan = _tiny_plan()
     ph = plan.phase_at(0.5)
@@ -173,9 +166,6 @@ def test_eps_family_strip_and_moments():
     rho_out, u_out = fam.state(1.2, 0.5)
     assert rho_out == pytest.approx(1.0 / 1.2)
     assert u_out == -1.0
-    m = fam.moments(1.2, 0.5)
-    assert m[1] == pytest.approx(rho_out * u_out)
-    assert m[3] == pytest.approx(rho_out * u_out ** 3)
     # the array form is the scalar rule at each point: strip interiors, both
     # strip ends (inclusive), one ulp outside them, regular regions and the
     # inner vacuum, in the constant-speed and the post-absorption phase

@@ -51,21 +51,15 @@ def delta_shock_data(draw, u_l_sign=None):
 # classify
 
 def test_classify_fan_contact_delta():
-    tag = xr.classify(data(u_l=-1.0, u_r=1.0))
-    assert tag.kind == VACUUM_FAN and tag.left_drains
-    tag = xr.classify(data(u_l=1.0, u_r=1.0))
-    assert tag.kind == CASE_CONTACT
-    tag = xr.classify(WORKED)
-    assert tag.kind == DELTA_SHOCK
-    assert tag.has_absorption and tag.hits_origin
+    assert xr.classify(data(u_l=-1.0, u_r=1.0)).kind == VACUUM_FAN
+    assert xr.classify(data(u_l=1.0, u_r=1.0)).kind == CASE_CONTACT
+    assert xr.classify(WORKED).kind == DELTA_SHOCK
 
 
 def test_classify_vacuum_sides():
     assert xr.classify(data(rho_l=0.0, rho_r=0.0)).kind == ALL_VACUUM
-    tag = xr.classify(data(rho_l=0.0, u_r=-1.0))
-    assert tag.kind == VACUUM_LEFT_SHOCK and tag.hits_origin
-    tag = xr.classify(data(rho_r=0.0, u_l=-1.0))
-    assert tag.kind == VACUUM_RIGHT_SHOCK and tag.left_drains
+    assert xr.classify(data(rho_l=0.0, u_r=-1.0)).kind == VACUUM_LEFT_SHOCK
+    assert xr.classify(data(rho_r=0.0, u_l=-1.0)).kind == VACUUM_RIGHT_SHOCK
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +195,9 @@ def test_post_absorption_times_at_matches_xi():
 def test_origin_mass_vacuum_fan():
     plan = xr.solve(data(u_l=-1.0, u_r=1.0), 4.0)
     for t in (0.25, 0.5, 0.99):
-        assert xr.origin_mass(plan, t) == pytest.approx(2 * math.pi * t, rel=1e-13)
+        assert plan.m0(t) == pytest.approx(2 * math.pi * t, rel=1e-13)
     for t in (1.0, 2.5, 4.0):
-        assert xr.origin_mass(plan, t) == pytest.approx(2 * math.pi, rel=1e-13)
+        assert plan.m0(t) == pytest.approx(2 * math.pi, rel=1e-13)
 
 
 def test_origin_mass_front_dump():
@@ -216,7 +210,7 @@ def test_origin_mass_front_dump():
     assert plan.m0(2.0) == pytest.approx(12 * math.pi + 16 * math.pi * 0.5,
                                          rel=1e-12)
     with pytest.raises(DomainError):
-        xr.origin_mass(plan, -1.0)
+        plan.m0(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +347,22 @@ def test_origin_time_beyond_float_range_is_never(d, events):
     last = plan.phases[-1]
     assert last.t_end == math.inf and len(last.fronts) == 1
     assert last.fronts[0].xi(10.0) == 1.0
+
+
+def test_origin_event_at_phase_start_ends_no_phase():
+    # -R/u_r underflows to 0: the shock reaches the origin at once
+    plan = xr.solve(data(1, 5e-324, 0.0, 5e-324, 0.0, -2.0), 10.0)
+    assert plan.case.kind == VACUUM_LEFT_SHOCK
+    assert plan.events == {"t_vacuum_close": 0.0}
+    assert [(ph.t_start, ph.t_end) for ph in plan.phases] == [(0.0, math.inf)]
+    assert plan.phases[0].fronts == ()
+
+
+def test_absorption_at_phase_start_builds_the_post_absorption_front():
+    # t_in underflows to 0; the post-absorption front then has C = inf
+    with pytest.raises(DomainError,
+                       match="post-absorption constants leave float range"):
+        xr.solve(data(1, 5e-324, 1.0, 1.0, 2.0, -2.0), 10.0)
 
 
 @pytest.mark.parametrize("d", [

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import radialsw.exact_riemann as xr
 import radialsw.oracle as orc
@@ -57,13 +57,17 @@ def test_neighbours_rounded_onto_one_point_merge():
     assert ps.masses().tolist() == [2.0]
 
 
-def test_massless_pair_merges_to_nan_without_raising():
-    ps = orc.ParticleSystem(1, [1.0, 2.0], [0.0, 0.0], [1.0, -1.0])
+def test_massless_particles_do_not_block_matter():
+    # the massless pair meets at r = 1.5, t = 0.5; the massive particle
+    # passes that point and reaches the origin at t = 2
+    ps = orc.ParticleSystem(1, [1.0, 2.0, 10.0], [0.0, 0.0, 1.0],
+                            [1.0, -1.0, -5.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ps.run_until(1.0)
-    assert ps.alive_count == 1 and ps.masses().tolist() == [0.0]
-    assert math.isnan(ps.radii()[0]) and math.isnan(ps.velocities()[0])
+        ps.run_until(0.5)
+        ps.run_until(3.0)
+    assert ps.absorptions == [(2.0, 1.0)]
+    assert ps.m0 == 1.0 and ps.alive_count == 0
 
 
 def test_run_until_rejects_backwards():
@@ -173,8 +177,6 @@ def test_discretize_vacuum_and_errors():
 def test_front_extract_requires_cluster():
     ps = orc.discretize(WORKED, 200, 3.0)
     assert orc.front_extract(ps) is None  # pre-collision
-    with pytest.raises(DomainError):
-        orc.front_extract(ps, mass_fraction=0.0)
 
 
 def test_front_matches_constant_speed_phase():
@@ -370,11 +372,8 @@ class HeapParticleSystem:
         a, u, m = self.a, self.u, self.m
         mi, mj = m[i], m[j]
         mass = mi + mj
-        if mass == 0.0:
-            x = v = math.nan
-        else:
-            x = (mi * (a[i] + u[i] * t) + mj * (a[j] + u[j] * t)) / mass
-            v = (mi * u[i] + mj * u[j]) / mass
+        x = (mi * (a[i] + u[i] * t) + mj * (a[j] + u[j] * t)) / mass
+        v = (mi * u[i] + mj * u[j]) / mass
         self.alive[j] = False
         self.version[i] += 1
         self.version[j] += 1
@@ -518,13 +517,16 @@ def reference_systems(draw):
 def test_projection_matches_heap_event_loop(system):
     r, m, u, t0, times = system
     ps = orc.ParticleSystem(1, r, m, u, time=t0)
-    ref = HeapParticleSystem(r, m, u, time=t0)
+    # the heap loop merges massless particles into a cluster with no
+    # centre, which lets matter pass through other clusters: it is a
+    # reference for the massive particles only, which is all ParticleSystem
+    # keeps
+    massive = np.asarray(m, dtype=float) > 0
+    ref = HeapParticleSystem(*(np.asarray(x, dtype=float)[massive]
+                               for x in (r, m, u)), time=t0)
     for t in times:
         ps.run_until(t)
         ref.run_until(t)
-        # two massless particles merge into a cluster with no centre; the
-        # two solvers need not agree on what passes through it afterwards
-        assume(not np.any(np.isnan(ref.radii())))
         _assert_same_state(_observe(ps), _observe(ref))
 
 

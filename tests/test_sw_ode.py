@@ -172,7 +172,7 @@ def test_incompatible_mass_exhaustion_raises():
 def test_samples_are_ordered():
     ivp = so.FrontIVP(0.0, 1.0, None, 0.0, power_law_states(WORKED), 2)
     traj = so.integrate_front(ivp, 1.0)
-    ts = [s[0] for s in traj.samples]
+    ts = traj.t.tolist()
     assert ts == sorted(ts)
     assert min(traj.xi) > 0
 
@@ -222,11 +222,15 @@ def test_example_residuals_analytic():
     assert r1 <= 1e-8 and r2 <= 1e-8
 
 
-def test_example_residuals_finite_difference():
+def test_example_derivatives_match_central_difference():
     grid = np.linspace(0.1, 5.0, 60)
-    r1, r2 = so.ode_residual(so.nonentropic_example,
-                             so.nonentropic_outer_states, 2, grid)
-    assert r1 <= 1e-8 and r2 <= 1e-8
+    h = 1e-5
+    _, xid_hi, sigma_hi, _, _ = so.nonentropic_example(grid + h)
+    _, xid_lo, sigma_lo, _, _ = so.nonentropic_example(grid - h)
+    sigma_dot, xi_ddot = so.nonentropic_derivatives(grid)
+    np.testing.assert_allclose(sigma_dot, (sigma_hi - sigma_lo) / (2 * h),
+                               rtol=1e-7)
+    np.testing.assert_allclose(xi_ddot, (xid_hi - xid_lo) / (2 * h), rtol=1e-7)
 
 
 # ---------------------------------------------------------------------------
