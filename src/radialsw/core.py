@@ -162,7 +162,9 @@ class FrontState:
 
 
 class FrontPath(Protocol):
-    """Time-parameterized front: position, speed and lineal mass."""
+    """Time-parameterized front: position, speed and lineal mass.  xi,
+    speed and sigma take a float time, or an array of times and give an
+    array of its shape with the float form's bits at each element."""
     kind: str
 
     def xi(self, t: float) -> float: ...
@@ -185,12 +187,23 @@ def linear_times(x0: float, v: float, t0: float, x: float,
     return [t] if lo <= t <= hi else []
 
 
-def _path_at(fn, t):
-    """fn(t) for a float t, else fn at each element of the array t; front
-    paths take floats (PostAbsorptionSW uses math.sqrt)."""
-    if np.ndim(t) == 0:
-        return fn(t)
-    return np.array([fn(s) for s in np.ravel(t).tolist()]).reshape(np.shape(t))
+def path_sqrt(x):
+    """math.sqrt of a float, np.sqrt of an array: both round correctly, so
+    they agree bit for bit."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def path_power(x, e):
+    """x ** e with Python's float power, per element of an array: numpy's
+    power differs from it in the last bit on about 5 % of inputs."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
+    return x ** e
+
+
+def path_const(t, value):
+    """value at every time t: a float, or an array of t's shape."""
+    return np.full(t.shape, value) if isinstance(t, np.ndarray) else value
 
 
 @dataclass(frozen=True)
@@ -205,10 +218,10 @@ class LinearFront:
         return self.xi0 + self.velocity * (t - self.t0)
 
     def speed(self, t):
-        return self.velocity
+        return path_const(t, self.velocity)
 
     def sigma(self, t):
-        return 0.0
+        return path_const(t, 0.0)
 
     def state(self, t):
         return FrontState(self.kind, self.xi(t), self.velocity, 0.0)
@@ -254,7 +267,7 @@ class Phase:
         the result is an int array of their shape (0-d for floats)."""
         idx = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(t)), dtype=int)
         for f in self.fronts:
-            idx += _path_at(f.xi, t) <= r
+            idx += f.xi(t) <= r
         return idx
 
 
@@ -334,13 +347,15 @@ class EpsFamily:
 
     Outside the strips of half-width eps/2 around each shadow front the
     fields equal the plan's regular fields; inside, density is sigma(t)/eps
-    and velocity is the front speed.
+    and velocity is the front speed.  eps is a float, or an array that
+    broadcasts with the radii and times given to profile (one width per
+    row).
     """
     plan: WavePlan
     eps: float
 
     def __post_init__(self):
-        if not (self.eps > 0):
+        if not np.all(np.asarray(self.eps) > 0):
             raise DomainError("eps must be positive")
 
     def profile(self, r, t):
@@ -361,10 +376,10 @@ class EpsFamily:
         h = 0.5 * self.eps
         for f in reversed(ph.fronts):
             if f.kind == SHADOW_WAVE:
-                x = _path_at(f.xi, t)
+                x = f.xi(t)
                 hit = (x - h <= r) & (r <= x + h)
-                c = np.where(hit, _path_at(f.sigma, t) / self.eps, c)
-                u = np.where(hit, _path_at(f.speed, t), u)
+                c = np.where(hit, f.sigma(t) / self.eps, c)
+                u = np.where(hit, f.speed(t), u)
                 strip |= hit
         return c, u, strip
 

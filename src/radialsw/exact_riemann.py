@@ -26,7 +26,7 @@ from .core import (
     Atom, CaseTag, DegenerateDataError, DomainError, FrontState, LinearFront,
     OutOfPhaseError, Phase, PlanRangeError, PreconditionError,
     PseudoRiemannData, RegionProfile, SolutionSample, WavePlan,
-    linear_times, surface_area,
+    linear_times, path_const, path_power, path_sqrt, surface_area,
 )
 
 INF = math.inf
@@ -52,10 +52,10 @@ class ConstSpeedSW:
         return self.R + self.v0 * t
 
     def speed(self, t):
-        return self.v0
+        return path_const(t, self.v0)
 
     def sigma(self, t):
-        return self.amp * t * self.xi(t) ** (1 - self.n)
+        return self.amp * t * path_power(self.xi(t), 1 - self.n)
 
     def total_mass(self, S, t):
         """S xi^{n-1} sigma, written without xi: sigma xi^{n-1} = amp t."""
@@ -81,14 +81,14 @@ class PostAbsorptionSW:
     n: int
 
     def xi(self, t):
-        return self.u_r * t + self.E + (2.0 / self.C) * math.sqrt(self.C * t + self.D)
+        return self.u_r * t + self.E + (2.0 / self.C) * path_sqrt(self.C * t + self.D)
 
     def speed(self, t):
-        return self.u_r + 1.0 / math.sqrt(self.C * t + self.D)
+        return self.u_r + 1.0 / path_sqrt(self.C * t + self.D)
 
     def sigma(self, t):
-        s = math.sqrt(self.C * t + self.D)
-        return (2.0 * self.rho_r / self.C) * s * self.xi(t) ** (1 - self.n)
+        s = path_sqrt(self.C * t + self.D)
+        return (2.0 * self.rho_r / self.C) * s * path_power(self.xi(t), 1 - self.n)
 
     def total_mass(self, S, t):
         """S xi^{n-1} sigma, written without xi."""

@@ -23,6 +23,9 @@ from .core import (
 from .exact_riemann import PostAbsorptionSW
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# time panels per numpy pass of the weak quadrature: bounds the arrays of a
+# pass (under 1 MB on the verify_ladder items, 2.6 MB over whole phases)
+_PANELS_PER_PASS = 8
 
 QUAD_TOL = 1e-10           # absolute quadrature target per residual
 ORDER_FIT_FLOOR = 10 * QUAD_TOL
@@ -146,6 +149,8 @@ class TestFunction:
     h_t: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r_c, self.t_c, self.h_r, self.h_t))):
+            raise DomainError("test function fields must be finite")
         if not (self.h_r > 0 and self.h_t > 0):
             raise DomainError("half-widths must be positive")
         if self.r_c - self.h_r <= 0:
@@ -235,43 +240,70 @@ def _time_breakpoints(plan: WavePlan, eps: float, phi: TestFunction):
     return sorted(pts)
 
 
-def _time_panel(fam: EpsFamily, phi: TestFunction, power: int,
-                a: float, b: float) -> float:
-    """16-node Gauss-Legendre integral over the time panel [a, b] of the
-    inner r integrals, in one numpy pass.  Row k of the (16 x panels)
-    arrays is time node k; its r panels run between phi's support edges and
-    the family's discontinuities clipped to the support (clipped or
-    coinciding ones leave empty panels, which drop out), and
-    EpsFamily.profile decides each panel at its midpoint."""
+def _weak_integrals(plan: WavePlan, phi: TestFunction, ladder, powers):
+    """({power: per-rung totals}, per-rung time panel counts) of the weak
+    integrals of the eps-realized families against phi, one rung per eps.
+
+    A rung adds up, in time order, a 16-node Gauss-Legendre rule in t over
+    each panel between its _time_breakpoints.  The panels of all rungs in
+    one phase go through numpy passes of _PANELS_PER_PASS panels.  Row
+    (panel, k) of a pass is time node k of a panel; its r panels run
+    between phi's support edges and the family's discontinuities clipped
+    to the support (empty ones drop out), and EpsFamily.profile, with each
+    panel's eps, decides them at their midpoints.  Every power reuses the
+    cuts, the profile and TestFunction.jet.  The r and t sums still run
+    per time panel, since a matrix product sums a row differently among
+    other rows."""
+    panels = [(k, a, b) for k, eps in enumerate(ladder)
+              for tb in (_time_breakpoints(plan, eps, phi),)
+              for a, b in zip(tb[:-1], tb[1:]) if b - a >= 1e-13]
+    rung, a, b = np.array(panels, dtype=float).reshape(-1, 3).T
+    rung = rung.astype(int)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    t = mid + half * _GL_X
-    ts = t.tolist()
-    curves = [[phi.r_lo] * t.size, [phi.r_hi] * t.size] + [
-        [f.xi(s) + o for s in ts]
-        for f in fam.plan.phase_at(mid).fronts for o in _edges(f, fam.eps)]
-    cuts = np.sort(np.clip(np.array(curves).T, phi.r_lo, phi.r_hi), axis=1)
-    lo, hi = cuts[:, :-1], cuts[:, 1:]
-    keep = hi - lo >= 1e-14
-    node = np.nonzero(keep)[0]
-    c, u, strip = (v[keep][:, None]
-                   for v in fam.profile(0.5 * (lo + hi), t[:, None]))
-    rhalf = 0.5 * (hi - lo)[keep]
-    rr = 0.5 * (lo + hi)[keep][:, None] + rhalf[:, None] * _GL_X
-    phi_v, phi_r, phi_t = phi.jet(rr, t[node][:, None])
-    n = fam.plan.data.n
-    rho = c * np.where(strip, 1.0, rr ** (1 - n))
-    a_m = rho * u ** power
-    b_m = rho * u ** (power + 1)
-    vals = a_m * phi_t + b_m * phi_r
-    if n > 1:
-        vals = vals - (n - 1) * b_m * phi_v / rr
-    per_node = np.bincount(node, rhalf * (vals @ _GL_W), t.size)
-    return half * float(np.dot(per_node, _GL_W))
+    by_phase = {}
+    for j, m in enumerate(mid.tolist()):
+        by_phase.setdefault(id(ph := plan.phase_at(m)), (ph, []))[1].append(j)
+    passes = [(ph, rows[i:i + _PANELS_PER_PASS])
+              for ph, rows in by_phase.values()
+              for i in range(0, len(rows), _PANELS_PER_PASS)]
+    n, size = plan.data.n, _GL_X.size
+    per_panel = {p: np.zeros(mid.size) for p in powers}
+    for ph, rows in passes:
+        t = mid[rows, None] + half[rows, None] * _GL_X
+        eps = np.asarray(ladder)[rung[rows], None]
+        curves = [np.full(t.shape, phi.r_lo), np.full(t.shape, phi.r_hi)] + [
+            f.xi(t) + o for f in ph.fronts for o in _edges(f, eps)]
+        cuts = np.sort(np.clip(np.stack(curves, axis=-1), phi.r_lo, phi.r_hi))
+        lo, hi = cuts[..., :-1], cuts[..., 1:]
+        keep = hi - lo >= 1e-14
+        pan, node, _ = np.nonzero(keep)
+        c, u, strip = (v[keep][:, None] for v in EpsFamily(
+            plan, eps[..., None]).profile(0.5 * (lo + hi), t[..., None]))
+        rhalf = 0.5 * (hi - lo)[keep]
+        rr = 0.5 * (lo + hi)[keep][:, None] + rhalf[:, None] * _GL_X
+        phi_v, phi_r, phi_t = phi.jet(rr, t[pan, node][:, None])
+        rho = c * np.where(strip, 1.0, rr ** (1 - n))
+        ends = np.searchsorted(pan, np.arange(len(rows) + 1)).tolist()
+        for p in powers:
+            a_m, b_m = rho * u ** p, rho * u ** (p + 1)
+            vals = a_m * phi_t + b_m * phi_r
+            if n > 1:
+                vals = vals - (n - 1) * b_m * phi_v / rr
+            rsum = np.concatenate([vals[i:j] @ _GL_W
+                                   for i, j in zip(ends[:-1], ends[1:])])
+            per_node = np.bincount(pan * size + node, rhalf * rsum,
+                                   len(rows) * size).reshape(-1, size)
+            per_panel[p][rows] = half[rows] * [float(np.dot(v, _GL_W))
+                                               for v in per_node]
+    totals = {p: [sum(v[rung == k].tolist(), 0.0) for k in range(len(ladder))]
+              for p, v in per_panel.items()}
+    return totals, tuple(np.bincount(rung, minlength=len(ladder)).tolist())
 
 
 def weak_residual(plan: WavePlan, eps: float, phi: TestFunction,
                   which: str) -> float:
-    """Weak-form residual of the eps-realized family against phi.
+    """Weak-form residual of the eps-realized family against phi: the
+    one-rung ladder.
 
     mass / momentum: the weak integral that vanishes in the eps -> 0 limit
     for valid shadow waves.  entropy: the distributional pairing of
@@ -280,20 +312,19 @@ def weak_residual(plan: WavePlan, eps: float, phi: TestFunction,
     """
     if which not in _MOMENT_POWER:
         raise DomainError("unknown equation %r" % (which,))
-    fam = EpsFamily(plan, eps)
     power = _MOMENT_POWER[which]
-    tb = _time_breakpoints(plan, eps, phi)
-    total = sum((_time_panel(fam, phi, power, a, b)
-                 for a, b in zip(tb[:-1], tb[1:]) if b - a >= 1e-13), 0.0)
+    total = _weak_integrals(plan, phi, (eps,), (power,))[0][power][0]
     return -total if which == "entropy" else total
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Residuals and fitted convergence order over an eps ladder."""
+    """Residuals and fitted convergence order over an eps ladder, and the
+    number of time panels of each rung."""
     eps: tuple
     residuals: dict
     order: dict
+    panels: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -322,15 +353,23 @@ def residual_ladder(plan: WavePlan, phi: TestFunction,
                     eps0: float = 1e-2, halvings: int = 6) -> ResidualReport:
     """Weak residuals over the ladder eps0, eps0/2, ..., eps0/2^halvings
     with fitted convergence order per equation; ResidualReport.passed
-    is the verdict."""
+    is the verdict.  DomainError for a ladder that cannot fit an order:
+    no equation, an unknown one, or fewer than three rungs."""
+    which = tuple(which)
+    if not which or not set(which) <= set(_MOMENT_POWER):
+        raise DomainError("equations must be some of %s, got %r"
+                          % (sorted(_MOMENT_POWER), which))
+    if halvings < 2:
+        raise DomainError("an order needs halvings >= 2, got %r" % (halvings,))
     ladder = tuple(eps0 * 0.5 ** k for k in range(halvings + 1))
-    residuals = {}
-    order = {}
-    for eq in which:
-        res = tuple(weak_residual(plan, e, phi, eq) for e in ladder)
-        residuals[eq] = res
-        order[eq] = fit_order(ladder, res)
-    return ResidualReport(eps=ladder, residuals=residuals, order=order)
+    totals, panels = _weak_integrals(plan, phi, ladder,
+                                     {_MOMENT_POWER[eq] for eq in which})
+    residuals = {eq: tuple(-x if eq == "entropy" else x
+                           for x in totals[_MOMENT_POWER[eq]])
+                 for eq in which}
+    order = {eq: fit_order(ladder, res) for eq, res in residuals.items()}
+    return ResidualReport(eps=ladder, residuals=residuals, order=order,
+                          panels=panels)
 
 
 def default_test_function(plan: WavePlan,

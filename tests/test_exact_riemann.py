@@ -189,6 +189,39 @@ def test_post_absorption_times_at_matches_xi():
     assert f.times_at(0.0, 0.8, math.inf) == [pytest.approx(20.0, rel=1e-14)]
 
 
+@st.composite
+def plans_over_decades(draw):
+    """A plan of any case kind, n = 1..4, with R, densities and speeds over
+    decades; gas on both sides four times in seven."""
+    decade = st.floats(min_value=-1.0, max_value=1.0)
+    speed = st.tuples(st.sampled_from([-1.0, 1.0]), decade).map(
+        lambda v: v[0] * 10.0 ** (2 * v[1]))
+    gas = draw(st.sampled_from(["lr"] * 4 + ["l", "r", ""]))
+    rho_l, rho_r = (10.0 ** (3 * draw(decade)) if side in gas else 0.0
+                    for side in "lr")
+    return xr.solve(data(draw(st.integers(1, 4)), 10.0 ** (2 * draw(decade)),
+                         rho_l, rho_r, draw(speed), draw(speed)), 1.0)
+
+
+@given(plans_over_decades(), st.lists(st.floats(0.01, 0.99), min_size=1,
+                                      max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_front_paths_take_arrays_with_float_bits(plan, fractions):
+    # xi and speed are + - * / and sqrt, which numpy rounds like math;
+    # sigma keeps Python's float power per time, which numpy's differs from
+    for ph in plan.phases:
+        end = ph.t_end if math.isfinite(ph.t_end) else 2 * ph.t_start + 1.0
+        ts = ph.t_start + (end - ph.t_start) * np.array(fractions)
+        ts = ts.reshape(1, -1)
+        for f in ph.fronts:
+            for path in (f.xi, f.speed, f.sigma):
+                got = path(ts)
+                want = np.array([path(t) for t in ts.ravel().tolist()])
+                assert isinstance(got, np.ndarray) and got.shape == ts.shape
+                assert got.ravel().view(np.int64).tolist() == \
+                    want.view(np.int64).tolist()
+
+
 # ---------------------------------------------------------------------------
 # origin mass
 

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import radialsw.exact_riemann as xr
 import radialsw.sw_ode as so
 import radialsw.verify as vf
 from radialsw.core import (
-    DomainError, PseudoRiemannData, UnsupportedRegionError, kappa_fluxes,
+    SHADOW_WAVE, DomainError, EpsFamily, PseudoRiemannData,
+    UnsupportedRegionError, kappa_fluxes,
 )
 
 WORKED = PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
@@ -135,6 +136,15 @@ def test_test_function_support_rules():
         vf.TestFunction(r_c=1.0, t_c=1.0, h_r=0.0, h_t=0.5)
 
 
+@pytest.mark.parametrize("field", ["r_c", "t_c", "h_r", "h_t"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_test_function_rejects_non_finite_fields(field, bad):
+    fields = dict(r_c=1.0, t_c=0.5, h_r=0.3, h_t=0.3)
+    fields[field] = bad
+    with pytest.raises(DomainError):
+        vf.TestFunction(**fields)
+
+
 def test_test_function_shape_and_boundary():
     phi = vf.TestFunction(r_c=1.0, t_c=1.0, h_r=0.4, h_t=0.5)
     assert phi.value(1.0, 1.0) == 1.0
@@ -184,6 +194,22 @@ def test_weak_residual_rejects_unknown_equation():
     phi = vf.TestFunction(r_c=1.0, t_c=0.5, h_r=0.3, h_t=0.3)
     with pytest.raises(DomainError):
         vf.weak_residual(plan, 1e-3, phi, "energy")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"halvings": -1}, {"halvings": 0}, {"halvings": 1}, {"which": ()},
+    {"which": ("mass", "energy")},
+])
+def test_vacuous_ladder_rejected_before_quadrature(kwargs, monkeypatch):
+    plan = xr.solve(WORKED, 6.0)
+    phi = vf.default_test_function(plan)
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(vf, "_time_breakpoints", no_quadrature)
+    with pytest.raises(DomainError):
+        vf.residual_ladder(plan, phi, **kwargs)
 
 
 def test_weak_residual_ladder_on_front():
@@ -267,6 +293,150 @@ def test_weak_ladder_gate_fails_wrong_amplitude(name):
     wrong = vf.residual_ladder(_scale_amplitude(plan, 1.01), phi)
     assert not _ladder_passes(wrong)
     assert wrong.order["mass"] < 0.1
+
+
+def test_ladder_reports_time_panels_per_rung():
+    rep = vf.residual_ladder(*_plan_and_phi(WORKED))
+    assert rep.panels == (1,) * 7  # the front at rest stays inside the box
+    rep = vf.residual_ladder(*_plan_and_phi(LADDER_DATA["n1"][0]))
+    assert rep.panels == (5,) * 7
+    # the widest strip's outer edge crosses r_hi twice near the turning
+    # point of the post-absorption front; the narrower ones stay inside
+    plan = xr.solve(PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0,
+                                      u_l=2.0, u_r=-0.5), 20.0)
+    phi = vf.TestFunction(r_c=2.505 - 1e-9 - 0.3, t_c=5.0123, h_r=0.3,
+                          h_t=1.68)
+    assert vf.residual_ladder(plan, phi).panels == (4, 2, 2, 2, 2, 2, 2)
+
+
+def _plan_and_phi(data):
+    plan = xr.solve(data, 6.0)
+    return plan, vf.default_test_function(plan)
+
+
+# ---------------------------------------------------------------------------
+# the per-panel evaluation that the batched ladder replaced, kept as a
+# reference: one numpy pass per time panel and equation, with the strip
+# rule calling the float front paths once per time node
+
+def _path_at(fn, t):
+    if np.ndim(t) == 0:
+        return fn(t)
+    return np.array([fn(s) for s in np.ravel(t).tolist()]).reshape(np.shape(t))
+
+
+def _reference_profile(fam, r, t):
+    ph = fam.plan.phase_at(float(np.min(t)))
+    assert np.max(t) < ph.t_end
+    live = [(0.0, 0.0) if p.is_vacuum else (p.coeff, p.velocity)
+            for p in ph.regions]
+    idx = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(t)), dtype=int)
+    for f in ph.fronts:
+        idx += _path_at(f.xi, t) <= r
+    c, u = np.array(live).T[:, idx]
+    strip = np.zeros(c.shape, dtype=bool)
+    h = 0.5 * fam.eps
+    for f in reversed(ph.fronts):
+        if f.kind == SHADOW_WAVE:
+            x = _path_at(f.xi, t)
+            hit = (x - h <= r) & (r <= x + h)
+            c = np.where(hit, _path_at(f.sigma, t) / fam.eps, c)
+            u = np.where(hit, _path_at(f.speed, t), u)
+            strip |= hit
+    return c, u, strip
+
+
+def _reference_time_panel(fam, phi, power, a, b):
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    t = mid + half * vf._GL_X
+    ts = t.tolist()
+    curves = [[phi.r_lo] * t.size, [phi.r_hi] * t.size] + [
+        [f.xi(s) + o for s in ts]
+        for f in fam.plan.phase_at(mid).fronts for o in vf._edges(f, fam.eps)]
+    cuts = np.sort(np.clip(np.array(curves).T, phi.r_lo, phi.r_hi), axis=1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    keep = hi - lo >= 1e-14
+    node = np.nonzero(keep)[0]
+    c, u, strip = (v[keep][:, None] for v in
+                   _reference_profile(fam, 0.5 * (lo + hi), t[:, None]))
+    rhalf = 0.5 * (hi - lo)[keep]
+    rr = 0.5 * (lo + hi)[keep][:, None] + rhalf[:, None] * vf._GL_X
+    phi_v, phi_r, phi_t = phi.jet(rr, t[node][:, None])
+    n = fam.plan.data.n
+    rho = c * np.where(strip, 1.0, rr ** (1 - n))
+    a_m = rho * u ** power
+    b_m = rho * u ** (power + 1)
+    vals = a_m * phi_t + b_m * phi_r
+    if n > 1:
+        vals = vals - (n - 1) * b_m * phi_v / rr
+    per_node = np.bincount(node, rhalf * (vals @ vf._GL_W), t.size)
+    return half * float(np.dot(per_node, vf._GL_W))
+
+
+def _reference_weak_residual(plan, eps, phi, which):
+    """(residual, number of time panels)."""
+    fam = EpsFamily(plan, eps)
+    power = {"mass": 0, "momentum": 1, "entropy": 2}[which]
+    tb = vf._time_breakpoints(plan, eps, phi)
+    panels = [(a, b) for a, b in zip(tb[:-1], tb[1:]) if b - a >= 1e-13]
+    total = sum((_reference_time_panel(fam, phi, power, a, b)
+                 for a, b in panels), 0.0)
+    return (-total if which == "entropy" else total), len(panels)
+
+
+@st.composite
+def delta_ladders(draw):
+    """A delta-shock plan of any subcase (absorption then origin dump,
+    absorption only, inflow to the origin), n = 1..4, with R, densities
+    and speeds over decades, and a bump on the shadow front of a drawn
+    phase whose support may reach into the phases around it."""
+    sub = draw(st.sampled_from(["dump", "absorb", "inflow"]))
+    decade = st.floats(min_value=-1.0, max_value=1.0)
+    R = 10.0 ** (2 * draw(decade))
+    rho_l, rho_r = (10.0 ** (3 * draw(decade)) for _ in range(2))
+    a, b = (10.0 ** (2 * draw(decade)) for _ in range(2))
+    u_l, u_r = {"dump": (a, -b), "absorb": (a + b, b),
+                "inflow": (-a, -a - b)}[sub]
+    plan = xr.solve(PseudoRiemannData(draw(st.integers(1, 4)), R, rho_l,
+                                      rho_r, u_l, u_r), 1.0)
+    ph = draw(st.sampled_from([p for p in plan.phases if any(
+        f.kind == SHADOW_WAVE for f in p.fronts)]))
+    width = (ph.t_end if math.isfinite(ph.t_end) else 2.0 * ph.t_start
+             + R / max(a, b)) - ph.t_start
+    frac = st.floats(min_value=0.05, max_value=0.95)
+    t_c = ph.t_start + draw(frac) * width
+    front = next(f for f in ph.fronts if f.kind == SHADOW_WAVE)
+    r_c = front.xi(t_c)
+    assume(r_c > 0.0)
+    phi = vf.TestFunction(r_c, t_c, draw(frac) * r_c, draw(frac) * t_c)
+    return plan, phi
+
+
+def _slow_front_on_support_edge():
+    """A shadow front at 3.3e-13 per unit time whose widest strip crosses
+    r_lo mid-support: the nodes near the crossing drop an r panel that the
+    others keep, so a time panel holds 45 rows, not a multiple of 16."""
+    plan = xr.solve(PseudoRiemannData(n=2, R=1.0, rho_l=4.0, rho_r=1.0,
+                                      u_l=1e-12, u_r=-1e-12), 6.0)
+    r_lo = plan.phases[0].fronts[-1].xi(0.5) - 0.5e-2
+    return plan, vf.TestFunction(r_lo + 0.3, 0.5, 0.3, 0.3)
+
+
+@given(delta_ladders())
+@example(_slow_front_on_support_edge())
+@settings(max_examples=40, deadline=None)
+def test_batched_ladder_matches_per_panel_reference(case):
+    plan, phi = case
+    which = ("mass", "momentum", "entropy")
+    rep = vf.residual_ladder(plan, phi, which=which)
+    for eq in which:
+        for k, eps in enumerate(rep.eps):
+            want, panels = _reference_weak_residual(plan, eps, phi, eq)
+            assert rep.residuals[eq][k] == want
+            assert rep.panels[k] == panels
+    eps = rep.eps[-1]
+    assert (vf.weak_residual(plan, eps, phi, "momentum")
+            == _reference_weak_residual(plan, eps, phi, "momentum")[0])
 
 
 def test_weak_residual_classical_region_is_quadrature_exact():
