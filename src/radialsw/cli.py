@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,18 +59,24 @@ class Scenario:
 
 
 def _grid(raw, name) -> np.ndarray:
-    if isinstance(raw, list):
-        arr = np.asarray(raw, dtype=float)
-    elif isinstance(raw, dict):
-        try:
-            arr = np.linspace(float(raw["start"]), float(raw["stop"]),
-                              int(raw["count"]))
-        except KeyError as exc:
-            raise ConfigError("%s grid needs start/stop/count" % name) from exc
-    else:
-        raise ConfigError("%s grid must be a list or start/stop/count" % name)
+    try:
+        if isinstance(raw, list):
+            arr = np.asarray(raw, dtype=float)
+        elif isinstance(raw, dict):
+            count = raw["count"]
+            if int(count) != count or count < 1:
+                raise ConfigError("%s grid count must be an integer >= 1" % name)
+            arr = np.linspace(float(raw["start"]), float(raw["stop"]), int(count))
+        else:
+            raise ConfigError("%s grid must be a list or start/stop/count" % name)
+    except KeyError as exc:
+        raise ConfigError("%s grid needs start/stop/count" % name) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("bad %s grid: %s" % (name, exc)) from exc
     if arr.size == 0:
         raise ConfigError("%s grid is empty" % name)
+    if np.isnan(arr).any():
+        raise ConfigError("%s grid holds nan" % name)
     if np.any(np.diff(arr) < 0):
         raise ConfigError("%s grid must be sorted" % name)
     return arr
@@ -96,13 +102,13 @@ def load_scenario(path: str) -> Scenario:
     except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError("bad initial data: %s" % exc) from exc
     t_max = float(raw.get("t_max", 5.0))
-    if not (t_max > 0):
-        raise ConfigError("t_max must be positive")
+    if not (0 < t_max < math.inf):
+        raise ConfigError("t_max must be positive and finite")
     sample = raw.get("sample", {})
     r_grid = _grid(sample.get("r", {"start": 0.1 * data.R, "stop": 2.0 * data.R, "count": 21}), "r")
     t_grid = _grid(sample.get("t", {"start": 0.0, "stop": t_max, "count": 11}), "t")
-    if t_grid[-1] > t_max:
-        raise ConfigError("t grid exceeds t_max")
+    if t_grid[0] < 0 or t_grid[-1] > t_max:
+        raise ConfigError("t grid must lie in [0, t_max]")
     ver = raw.get("verify", {})
     orc = raw.get("oracle", {})
     N_list = orc.get("N", [1000])
@@ -121,6 +127,8 @@ def load_scenario(path: str) -> Scenario:
         oracle_times=tuple(float(t) for t in orc.get("times", (0.5, 2.0, 3.9))),
         out_dir=str(raw.get("out", ".")),
     )
+    if not all(map(math.isfinite, sc.oracle_times + (sc.verify_r_max,))):
+        raise ConfigError("oracle times and verify r_max must be finite")
     for name in sc.expected_fail:
         if name not in ("conservation", "entropy", "weak_ladder",
                         "example64_entropy"):
@@ -174,35 +182,42 @@ def cmd_solve(sc: Scenario, out_dir: str) -> int:
 
 
 def _sample_text(plan: WavePlan, t_grid, r_grid) -> str:
-    """The rows of samples.csv, one evaluate_grid slab per time.  Each
-    distinct value is formatted once, keyed by its bits so that -0.0 and
-    0.0 stay apart; fields never need CSV quoting."""
-    text = {}
+    """The rows of samples.csv from one evaluate_grid call over the whole
+    grid, joined in one pass once the grid's arrays are freed.  Fields
+    never need CSV quoting."""
+    return "".join(_sample_pieces(plan, np.asarray(t_grid, float),
+                                  np.asarray(r_grid, float)))
 
-    def fmt_all(values) -> List[str]:
-        bits = np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
-        new = list(set(bits).difference(text))
-        text.update(zip(new, (_FMT % x for x in
-                              np.array(new, dtype=np.int64).view(float).tolist())))
-        return list(map(text.__getitem__, bits))
 
-    r_text = fmt_all(r_grid)
-    chunks = []
-    for t in map(float, t_grid):
-        g = exact.evaluate_grid(plan, r_grid, t)
-        m0_text = "," + _fmt(g.m0) + ","
-        solid, vacuum = ",0" + m0_text + ",,\n", ",1" + m0_text + ",,\n"
-        flags = g.is_vacuum.tolist()
-        tails = [vacuum if v else solid for v in flags]
-        for j, a in enumerate(g.atoms):
-            if a is not None:
-                tails[j] = "%s%s%s,%s,%s\n" % (
-                    ",1" if flags[j] else ",0", m0_text, _fmt(a.radius),
-                    _fmt(a.sigma), _fmt(a.total_mass))
-        chunks.append("".join(map("".join, zip(
-            r_text, repeat("," + _fmt(t) + ","), fmt_all(g.rho), repeat(","),
-            fmt_all(g.u), tails))))
-    return "".join(chunks)
+def _sample_pieces(plan: WavePlan, t_grid, r_grid) -> list:
+    """The six pieces of each samples.csv row, row after row.  Each
+    distinct value is formatted once, found by np.unique of its bits so
+    that -0.0 and 0.0 stay apart."""
+    g = exact.evaluate_grid(plan, r_grid, t_grid)
+    K, m = g.rho.shape
+    bits, inverse = np.unique(np.concatenate(
+        [r_grid, t_grid, g.m0, g.rho.ravel(), g.u.ravel()]).view(np.int64),
+        return_inverse=True)
+    text = np.array([_FMT % x for x in bits.view(float).tolist()],
+                    dtype=object)[inverse]
+    r_text, t_text, m0_text, rho_text, u_text = np.split(
+        text, [m, m + K, m + 2 * K, m + 2 * K + K * m])
+    rows = np.empty((K, m, 6), dtype=object)
+    rows[..., 0] = r_text
+    rows[..., 1] = ("," + t_text + ",")[:, None]
+    rows[..., 2] = rho_text.reshape(K, m)
+    rows[..., 3] = ","
+    rows[..., 4] = u_text.reshape(K, m)
+    rows[..., 5] = np.where(g.is_vacuum, (",1," + m0_text + ",,,\n")[:, None],
+                            (",0," + m0_text + ",,,\n")[:, None])
+    for k, atoms in enumerate(g.atoms):
+        if atoms.count(None) < m:
+            for j, a in enumerate(atoms):
+                if a is not None:
+                    rows[k, j, 5] = ",%d,%s,%s,%s,%s\n" % (
+                        g.is_vacuum[k, j], m0_text[k], _fmt(a.radius),
+                        _fmt(a.sigma), _fmt(a.total_mass))
+    return rows.ravel().tolist()
 
 
 def cmd_sample(sc: Scenario, out_dir: str) -> int:

@@ -358,77 +358,91 @@ def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
 
 @dataclass(frozen=True)
 class GridSample:
-    """Field values at an array of radii and one time: arrays rho, u and
-    is_vacuum, the origin mass, and per point the front atom or None."""
+    """Field values on radii r and times t.  For a float t: arrays rho, u
+    and is_vacuum over r, the origin mass m0, and atoms, per radius the
+    front atom or None.  For an array of times: rho, u and is_vacuum of
+    shape (len(t), len(r)), m0 per time and atoms per time."""
     rho: np.ndarray
     u: np.ndarray
     is_vacuum: np.ndarray
-    m0: float
+    m0: float | np.ndarray
     atoms: list
 
 
-def evaluate_grid(plan: WavePlan, r, t: float) -> GridSample:
-    """Sample the plan at every radius of the 1-D array r and one time t:
-    regular fields, origin mass, and per point the front atom when the
-    radius lies within tolerance of a shadow front (the first such front).
+def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
+    """Sample the plan at every radius of the 1-D array r and every time of
+    t, a float or a 1-D array: regular fields, origin mass, and per point
+    the front atom when the radius lies within tolerance of a shadow front
+    (the first such front).  A float t gives the one-row view of the array
+    form.
 
-    The phase, the front positions and m0 are computed per call, not per
-    radius.  At r = 0 a power-law region gives rho = coeff for n = 1 and
-    inf for n >= 2 (the density coeff r^{1-n} is singular there), so
-    samples.csv then holds inf.  r^{1-n} is Python's float power per
-    radius, not numpy's, which differs from it by an ulp on some radii."""
+    The times are grouped by phase; region index, rho, u, the vacuum-fan
+    velocity and m0 take one broadcast per phase, and r^{1-n} is computed
+    once per radius, with Python's float power rather than numpy's, which
+    differs from it by an ulp on some radii.  Every value has the bits of
+    a call per time.  At r = 0 a power-law region gives rho = coeff for
+    n = 1 and inf for n >= 2 (the density coeff r^{1-n} is singular
+    there), so samples.csv then holds inf."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if (r < 0).any():
-        raise DomainError("negative radius")
-    if t < 0 or t > plan.t_max:
-        raise PlanRangeError("t=%r outside [0, t_max=%r]" % (t, plan.t_max))
-    phase = plan.phase_at(t)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not (r >= 0).all():
+        raise DomainError("negative or nan radius")
+    bad = ts[~(np.isfinite(ts) & (ts >= 0) & (ts <= plan.t_max))]
+    if bad.size:
+        raise PlanRangeError("t=%r outside [0, t_max=%r]"
+                             % (float(bad[0]), plan.t_max))
     n, R = plan.data.n, plan.data.R
-    fronts, regions = phase.fronts, phase.regions
-    xs = [f.xi(t) for f in fronts]
-    idx = phase.region_index(r, t)
-    is_vacuum = np.array([p.is_vacuum for p in regions])[idx]
-    coeff = np.array([p.coeff for p in regions])
-    rho = np.zeros(r.shape)
-    u = np.array([p.velocity for p in regions])[idx]
+    which = np.searchsorted([ph.t_start for ph in plan.phases], ts, "right") - 1
+    rho, u = np.zeros((ts.size, r.size)), np.zeros((ts.size, r.size))
+    is_vacuum, m0 = np.zeros(rho.shape, dtype=bool), np.zeros(ts.size)
+    atoms = [[None] * r.size for _ in range(ts.size)]
+    groups = []
+    for k in sorted(set(which.tolist())):
+        rows = np.flatnonzero(which == k)
+        ph, T = plan.phases[k], ts[rows, None]
+        idx = ph.region_index(r, T)
+        is_vacuum[rows] = np.array([p.is_vacuum for p in ph.regions])[idx]
+        m0[rows] = ph.m0(T[:, 0])
+        groups.append((ph, rows, T, idx))
+    # r^{1-n} only where some time has gas: Python's power can overflow
+    positive = r > 0
+    need = positive & ~is_vacuum.all(axis=0)
+    rpow = np.zeros(r.shape)
+    rpow[need] = [x ** (1 - n) for x in r[need].tolist()]
     with np.errstate(all="ignore"):
-        positive = r > 0
-        pos = ~is_vacuum & positive
-        e = 1 - n
-        rho[pos] = coeff[idx[pos]] * np.array([x ** e for x in r[pos].tolist()])
-        at_origin = ~is_vacuum & ~positive
-        rho[at_origin] = coeff[idx[at_origin]] if n == 1 else INF
-        # vacuum: linear interpolation between the bounding front speeds,
-        # the origin anchored at (position 0, speed 0)
-        for k, prof in enumerate(regions):
-            if not prof.is_vacuum:
-                continue
-            inside = idx == k
-            if not inside.any():
-                continue
-            x0, v0 = (xs[k - 1], fronts[k - 1].speed(t)) if k > 0 else (0.0, 0.0)
-            if k == len(fronts):
-                u[inside] = v0
-                continue
-            x1, v1 = xs[k], fronts[k].speed(t)
-            if x1 <= x0:
-                u[inside] = v1
-            else:
-                u[inside] = v0 + (v1 - v0) * (r[inside] - x0) / (x1 - x0)
-
-        atoms = [None] * r.size
-        for f, x in zip(fronts, xs):
-            if f.kind != SHADOW_WAVE:
-                continue
-            hits = (np.abs(r - x) < ATOM_POSITION_RTOL * max(R, x)).nonzero()[0]
-            if hits.size:
-                sg = f.sigma(t)
-                atom = Atom(x, sg, surface_area(n) * x ** (n - 1) * sg)
-                for j in hits.tolist():
-                    if atoms[j] is None:
-                        atoms[j] = atom
-    return GridSample(rho=rho, u=u, is_vacuum=is_vacuum, m0=phase.m0(t),
-                      atoms=atoms)
+        for ph, rows, T, idx in groups:
+            coeff = np.array([p.coeff for p in ph.regions])[idx]
+            rho[rows] = np.where(is_vacuum[rows], 0.0, np.where(
+                positive, coeff * rpow, coeff if n == 1 else INF))
+            # vacuum: linear interpolation between the bounding front
+            # speeds, the origin anchored at (position 0, speed 0)
+            vel = np.array([p.velocity for p in ph.regions])[idx]
+            fronts, xs = ph.fronts, [f.xi(T) for f in ph.fronts]
+            for k, prof in enumerate(ph.regions):
+                if not prof.is_vacuum:
+                    continue
+                x0, v0 = (xs[k - 1], fronts[k - 1].speed(T)) if k else (0.0, 0.0)
+                fan = v0
+                if k < len(fronts):
+                    x1, v1 = xs[k], fronts[k].speed(T)
+                    fan = np.where(x1 <= x0, v1,
+                                   v0 + (v1 - v0) * (r - x0) / (x1 - x0))
+                vel = np.where(idx == k, fan, vel)
+            u[rows] = vel
+            for f, x in zip(fronts, xs):
+                if f.kind != SHADOW_WAVE:
+                    continue
+                hit = np.abs(r - x) < ATOM_POSITION_RTOL * np.where(x > R, x, R)
+                for i in np.flatnonzero(hit.any(axis=1)).tolist():
+                    xi, sg = float(x[i, 0]), f.sigma(float(T[i, 0]))
+                    atom = Atom(xi, sg, surface_area(n) * xi ** (n - 1) * sg)
+                    row = atoms[rows[i]]
+                    for j in np.flatnonzero(hit[i]).tolist():
+                        if row[j] is None:
+                            row[j] = atom
+    if np.ndim(t) == 0:
+        return GridSample(rho[0], u[0], is_vacuum[0], float(m0[0]), atoms[0])
+    return GridSample(rho, u, is_vacuum, m0, atoms)
 
 
 def evaluate(plan: WavePlan, r: float, t: float) -> SolutionSample:

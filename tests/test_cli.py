@@ -7,10 +7,15 @@ import os
 import pathlib
 import subprocess
 import sys
+from itertools import repeat
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import radialsw.cli as cli
+import radialsw.exact_riemann as exact
+from grid_strategies import sampled_plans
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -83,6 +88,25 @@ def test_bad_grids_exit_2(tmp_path):
 def test_t_grid_beyond_t_max_exits_2(tmp_path):
     cfg = write_config(tmp_path, t_max=1.0, sample={"t": [0.0, 2.0]})
     assert run(tmp_path, "sample", cfg)[0] == 2
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("sample", {"sample": {"t": [-0.5, 1.0]}}),
+    ("sample", {"t_max": math.inf}),
+    ("sample", {"sample": {"t": [0.0, math.nan, 1.0]}}),
+    ("sample", {"sample": {"r": [math.nan, 1.0]}}),
+    ("sample", {"sample": {"r": {"start": 0.1, "stop": 2.0, "count": -3}}}),
+    ("sample", {"sample": {"r": {"start": 0.1, "stop": 2.0, "count": 2.5}}}),
+    ("oracle", {"oracle": {"N": [100], "times": [0.5, math.nan]}}),
+    ("verify", {"verify": {"r_max": math.nan}}),
+], ids=["t_below_0", "t_max_inf", "t_nan", "r_nan", "count_negative",
+        "count_fraction", "oracle_time_nan", "verify_r_max_nan"])
+def test_out_of_domain_grids_and_times_exit_2(tmp_path, capsys, command,
+                                              overrides):
+    code, out = run(tmp_path, command, write_config(tmp_path, **overrides))
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_bad_oracle_N_exits_2(tmp_path):
@@ -187,7 +211,7 @@ def test_sample_columns_and_content(tmp_path):
 
 
 # samples.csv digests recorded with the per-point sampler that preceded
-# evaluate_grid: every case kind, n = 1..4, r = 0 (inf rows), radii on a
+# evaluate_grid (the last one with its per-time form): every case kind, n = 1..4, r = 0 (inf rows), radii on a
 # front (atom rows), times in a vacuum fan and after absorption and the
 # origin dump, and a contact with u_l = 0.0, u_r = -0.0 ("0" and "-0" rows)
 GOLDEN_SAMPLES = [
@@ -229,6 +253,12 @@ GOLDEN_SAMPLES = [
      dict(n=3, R=1.0, rho_l=0.0, rho_r=0.0, u_l=1.0, u_r=-1.0), 2.0,
      [0.0, 1.0], [0.0, 1.0],
      "d75aafb99ef29b522d8ef149471d7e1b58a8043fadcc6c93320852f3cff05435"),
+    # 401 radii x 41 times, t_in = 1 and t_sw0 = 4 on the t grid, recorded
+    # with the per-time sampler that preceded the time-array evaluate_grid
+    ("worked_large_n2", WORKED, 5.0,
+     {"start": 0.0, "stop": 4.0, "count": 401},
+     {"start": 0.0, "stop": 5.0, "count": 41},
+     "7c5c6c5e5ebf40f3c72da6949214526133af6321643bb8ee14aca62a0e9a647b"),
 ]
 
 
@@ -241,6 +271,45 @@ def test_sample_bytes_match_golden_digest(tmp_path, name, data, t_max, r, t,
     code, out = run(tmp_path, "sample", cfg)
     assert code == 0
     assert hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest() == digest
+
+
+def per_time_sample_text(plan, t_grid, r_grid):
+    """samples.csv rows as the per-time sampler wrote them: one
+    evaluate_grid call per time, each distinct value formatted once, keyed
+    by its bits."""
+    text = {}
+
+    def fmt_all(values):
+        bits = np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
+        new = list(set(bits).difference(text))
+        text.update(zip(new, (cli._FMT % x for x in
+                              np.array(new, dtype=np.int64).view(float).tolist())))
+        return list(map(text.__getitem__, bits))
+
+    r_text = fmt_all(r_grid)
+    chunks = []
+    for t in map(float, t_grid):
+        g = exact.evaluate_grid(plan, r_grid, t)
+        m0_text = "," + cli._fmt(g.m0) + ","
+        solid, vacuum = ",0" + m0_text + ",,\n", ",1" + m0_text + ",,\n"
+        flags = g.is_vacuum.tolist()
+        tails = [vacuum if v else solid for v in flags]
+        for j, a in enumerate(g.atoms):
+            if a is not None:
+                tails[j] = "%s%s%s,%s,%s\n" % (
+                    ",1" if flags[j] else ",0", m0_text, cli._fmt(a.radius),
+                    cli._fmt(a.sigma), cli._fmt(a.total_mass))
+        chunks.append("".join(map("".join, zip(
+            r_text, repeat("," + cli._fmt(t) + ","), fmt_all(g.rho),
+            repeat(","), fmt_all(g.u), tails))))
+    return "".join(chunks)
+
+
+@given(sampled_plans())
+@settings(max_examples=150, deadline=None)
+def test_sample_text_matches_per_time_reference(sample):
+    plan, r, t = sample
+    assert cli._sample_text(plan, t, r) == per_time_sample_text(plan, t, r)
 
 
 def test_negative_radius_exits_1_before_writing(tmp_path):

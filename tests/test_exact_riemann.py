@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import radialsw.exact_riemann as xr
+from grid_strategies import sampled_plans
 from radialsw.core import (
     ALL_VACUUM, CASE_CONTACT, DELTA_SHOCK, SHADOW_WAVE, VACUUM_FAN,
     VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK, DegenerateDataError, DomainError,
@@ -517,6 +518,40 @@ def test_evaluate_grid_needs_sigma_only_on_an_atom():
     assert front.kind == SHADOW_WAVE and front.xi(3.6) == 0.0
     g = xr.evaluate_grid(plan, np.array([0.5, 1.0, 2.0]), 3.6)
     assert g.atoms == [None, None, None]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@given(sampled_plans())
+@settings(max_examples=300, deadline=None)
+def test_time_array_matches_per_time_calls(sample):
+    # the array form groups the times by phase and broadcasts; each row
+    # must be the float call's, bit for bit
+    plan, r, t = sample
+    g = xr.evaluate_grid(plan, r, t)
+    assert g.rho.shape == g.u.shape == g.is_vacuum.shape == (t.size, r.size)
+    assert len(g.atoms) == t.size
+    for k, tk in enumerate(t.tolist()):
+        one = xr.evaluate_grid(plan, r, tk)
+        assert _bits(g.rho[k]) == _bits(one.rho)
+        assert _bits(g.u[k]) == _bits(one.u)
+        assert g.is_vacuum[k].tolist() == one.is_vacuum.tolist()
+        assert _bits(g.m0[k]) == _bits(one.m0)
+        assert g.atoms[k] == one.atoms
+
+
+def test_time_array_range_checks():
+    plan = xr.solve(WORKED, 6.0)
+    r = np.array([0.5, 1.0])
+    for bad in (-0.5, 6.5, math.nan):
+        with pytest.raises(PlanRangeError):
+            xr.evaluate_grid(plan, r, np.array([0.0, bad, 1.0]))
+    with pytest.raises(PlanRangeError):
+        xr.evaluate_grid(xr.solve(WORKED, math.inf), r, np.array([math.inf]))
+    with pytest.raises(DomainError):
+        xr.evaluate_grid(plan, np.array([0.5, math.nan]), np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
