@@ -1,0 +1,86 @@
+"""Digest the outputs of a fixed set of CLI runs, for byte-identity checks.
+
+Runs `radialsw` in this process on the benchmark's generated items
+(perfbench/workloads.py, read only):
+
+- `solve` and `sample` on the 384 sample_grid pool items;
+- `solve` and `verify` on verify_ladder items j < 120 of seeds 1..3;
+- `solve` and `oracle` on oracle_ladder items j < 60 of seeds 1..3;
+
+that is 1,848 output files.  It writes one JSON object mapping each run
+("<workload>/<seed>/<j>/<command>") to its exit code and the sha256 of its
+stdout and of each file it wrote.  Run it on two trees, each with its own
+copy of this script, and compare the two JSON files:
+
+    python scripts/output_digests.py digests.json
+    python scripts/output_digests.py small.json --limit 2
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import workloads  # noqa: E402
+from radialsw import cli  # noqa: E402
+
+SEEDS = (1, 2, 3)
+# (workload, seeds, items per seed, item maker)
+ITEM_SETS = (
+    ("sample_grid", ("pool",), workloads.SAMPLE_POOL,
+     lambda seed, j: workloads.sample_pool_item(j)),
+    ("verify_ladder", SEEDS, 120, workloads.make_verify_item),
+    ("oracle_ladder", SEEDS, 60, workloads.make_oracle_item),
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_item(scenario: dict, command: str, work_dir: str) -> dict:
+    """Exit code and digests of stdout and every output file of one run."""
+    config = os.path.join(work_dir, "scenario.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(scenario, fh)
+    out = tempfile.mkdtemp(dir=work_dir)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main([command, "--config", config, "--out", out])
+    record = {"exit": rc, "stdout": _sha256(buf.getvalue().encode("utf-8"))}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            record[name] = _sha256(fh.read())
+    return record
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", help="JSON file to write")
+    ap.add_argument("--limit", type=int, default=None,
+                    help="items per workload and seed (default: the full set)")
+    args = ap.parse_args()
+    digests, files = {}, 0
+    with tempfile.TemporaryDirectory() as work_dir:
+        for workload, seeds, count, make in ITEM_SETS:
+            for seed in seeds:
+                for j in range(min(count, args.limit or count)):
+                    item = make(seed, j)
+                    for command in ("solve", item["command"]):
+                        record = run_item(item["scenario"], command, work_dir)
+                        files += len(record) - 2
+                        digests["%s/%s/%d/%s" % (workload, seed, j,
+                                                 command)] = record
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+    print("%d runs, %d output files -> %s" % (len(digests), files, args.out))
+
+
+if __name__ == "__main__":
+    main()

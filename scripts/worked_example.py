@@ -22,11 +22,11 @@ def main():
 
     plan = rs.solve(DATA, args.t_max)
     v0 = rs.first_root_speed(DATA.rho_l, DATA.u_l, DATA.rho_r, DATA.u_r)
-    consts, xi_fn, sigma_fn = rs.post_absorption(DATA)
-    print("case      %s" % plan.case.kind)
+    post = rs.post_absorption(DATA)
+    print("case      %s" % plan.case)
     print("v0        %.17g" % v0)
     print("t_in      %.17g" % rs.absorption_time(DATA))
-    print("C, D, E   %.17g %.17g %.17g" % (consts.C, consts.D, consts.E))
+    print("C, D, E   %.17g %.17g %.17g" % (post.C, post.D, post.E))
     print("t_sw0     %.17g" % plan.events["t_sw0"])
     print("m0 jump   %.17g  (= 8*pi = %.17g)" % (plan.m0(4.0), 8 * math.pi))
     print()

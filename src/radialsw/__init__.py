@@ -8,7 +8,6 @@ eps -> 0 limits, and cross-validate against a sticky-particle oracle.
 """
 from .core import (
     Atom,
-    CaseTag,
     ConfigError,
     ConservedPair,
     DegenerateDataError,
@@ -33,7 +32,6 @@ from .core import (
 from .exact_riemann import (
     ConstSpeedSW,
     GridSample,
-    PostAbsorptionConstants,
     PostAbsorptionSW,
     absorption_time,
     classify,
@@ -67,8 +65,6 @@ from .verify import (
     rankine_hugoniot_degenerate,
     residual_ladder,
     second_root_excluded,
-    total_mass,
-    total_momentum,
     weak_residual,
 )
 from .oracle import (

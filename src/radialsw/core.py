@@ -104,8 +104,10 @@ class PseudoRiemannData:
             raise DomainError("n must be an integer >= 1, got %r" % (self.n,))
         if not (self.R > 0):
             raise DomainError("R must be positive, got %r" % (self.R,))
-        if self.rho_l < 0 or self.rho_r < 0:
-            raise DomainError("density coefficients must be >= 0")
+        if not (self.rho_l >= 0 and self.rho_r >= 0):
+            raise DomainError("density coefficients must be >= 0, not nan")
+        if math.isnan(self.u_l) or math.isnan(self.u_r):
+            raise DomainError("velocities must not be nan")
         object.__setattr__(self, "n", int(self.n))
 
 
@@ -272,17 +274,6 @@ class Phase:
 
 
 @dataclass(frozen=True)
-class CaseTag:
-    """Classification of pseudo-Riemann data; the plan's events say what
-    happens to it."""
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in CASE_KINDS:
-            raise DomainError("unknown case kind %r" % (self.kind,))
-
-
-@dataclass(frozen=True)
 class WavePlan:
     """Global-in-time piecewise-exact solution of one pseudo-Riemann datum.
 
@@ -291,10 +282,14 @@ class WavePlan:
     t_vacuum_close) to times where applicable.
     """
     data: PseudoRiemannData
-    case: CaseTag
+    case: str  # the datum's kind, one of CASE_KINDS
     phases: tuple
     events: dict
     t_max: float
+
+    def __post_init__(self):
+        if self.case not in CASE_KINDS:
+            raise DomainError("unknown case kind %r" % (self.case,))
 
     def phase_at(self, t: float) -> Phase:
         if t < 0:

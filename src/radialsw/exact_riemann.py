@@ -23,7 +23,7 @@ import numpy as np
 from .core import (
     ALL_VACUUM, CASE_CONTACT, CONTACT, DELTA_SHOCK, SHADOW_WAVE, SHOCK,
     VACUUM_EDGE, VACUUM_FAN, VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK,
-    Atom, CaseTag, DegenerateDataError, DomainError, FrontState, LinearFront,
+    Atom, DegenerateDataError, DomainError, FrontState, LinearFront,
     OutOfPhaseError, Phase, PlanRangeError, PreconditionError,
     PseudoRiemannData, RegionProfile, SolutionSample, WavePlan,
     linear_times, path_const, path_power, path_sqrt, surface_area,
@@ -116,30 +116,23 @@ class PostAbsorptionSW:
         return sorted(times)
 
 
-@dataclass(frozen=True)
-class PostAbsorptionConstants:
-    C: float
-    D: float
-    E: float
-
-
 # ---------------------------------------------------------------------------
 # Classification and constant-speed closed forms
 
-def classify(data: PseudoRiemannData) -> CaseTag:
-    """Unique case tag of the datum."""
+def classify(data: PseudoRiemannData) -> str:
+    """The datum's case kind, one of CASE_KINDS."""
     rl, rr, ul, ur = data.rho_l, data.rho_r, data.u_l, data.u_r
     if rl == 0.0 and rr == 0.0:
-        return CaseTag(ALL_VACUUM)
+        return ALL_VACUUM
     if rl == 0.0:
-        return CaseTag(VACUUM_LEFT_SHOCK)
+        return VACUUM_LEFT_SHOCK
     if rr == 0.0:
-        return CaseTag(VACUUM_RIGHT_SHOCK)
+        return VACUUM_RIGHT_SHOCK
     if ul > ur:
-        return CaseTag(DELTA_SHOCK)
+        return DELTA_SHOCK
     if ul < ur:
-        return CaseTag(VACUUM_FAN)
-    return CaseTag(CASE_CONTACT)
+        return VACUUM_FAN
+    return CASE_CONTACT
 
 
 def first_root_speed(rho0: float, u0: float, rho1: float, u1: float) -> float:
@@ -178,7 +171,7 @@ def _in_float_range(fn):
 
 
 def _require_delta_shock(data: PseudoRiemannData) -> None:
-    if classify(data).kind != DELTA_SHOCK:
+    if classify(data) != DELTA_SHOCK:
         raise PreconditionError("datum is not a delta shock case")
 
 
@@ -213,27 +206,20 @@ def absorption_time(data: PseudoRiemannData) -> Optional[float]:
     return data.R * (b + a) / (b * (data.u_l - data.u_r))
 
 
-def _post_front(data: PseudoRiemannData) -> PostAbsorptionSW:
+@_in_float_range
+def post_absorption(data: PseudoRiemannData) -> PostAbsorptionSW:
+    """The front after full absorption, with its constants C, D and E,
+    valid on [t_in, t_sw0).  xi, xi-dot and the total front mass
+    |S^{n-1}| xi^{n-1} sigma are continuous at t_in.
+    """
+    if absorption_time(data) is None:
+        raise PreconditionError("datum has no finite absorption time")
     C = 2.0 * data.rho_r / (data.R * data.rho_l * (data.u_l - data.u_r))
     D = (data.rho_l - data.rho_r) / (data.rho_l * (data.u_l - data.u_r) ** 2)
     E = (data.R / data.rho_r) * (data.rho_r - data.rho_l)
     if not (0.0 < C < INF and math.isfinite(D) and math.isfinite(E)):
         raise DomainError("post-absorption constants leave float range")
     return PostAbsorptionSW(data.u_r, C, D, E, data.rho_r, data.n)
-
-
-@_in_float_range
-def post_absorption(data: PseudoRiemannData):
-    """Constants and closed forms for the front after full absorption.
-
-    Returns (PostAbsorptionConstants, xi, sigma) with xi, sigma callables
-    of time, valid on [t_in, t_sw0).  xi, xi-dot and the total front mass
-    |S^{n-1}| xi^{n-1} sigma are continuous at t_in.
-    """
-    if absorption_time(data) is None:
-        raise PreconditionError("datum has no finite absorption time")
-    f = _post_front(data)
-    return PostAbsorptionConstants(f.C, f.D, f.E), f.xi, f.sigma
 
 
 @_in_float_range
@@ -254,7 +240,7 @@ def origin_hit_time(data: PseudoRiemannData) -> Optional[float]:
         t0 = absorption_time(data)
         if not math.isfinite(t0):
             return None
-        front = _post_front(data)
+        front = post_absorption(data)
     roots = [t for t in front.times_at(0.0, t0, INF) if math.isfinite(t)]
     return roots[0] if roots else None
 
@@ -319,11 +305,11 @@ def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
     DomainError."""
     if not (t_max > 0):
         raise DomainError("t_max must be positive")
-    tag = classify(data)
+    kind = classify(data)
     S = surface_area(data.n)
     events, phases = {}, []
     t0 = m0 = p0 = 0.0
-    fronts, regions = _waves(data, tag.kind)
+    fronts, regions = _waves(data, kind)
     if not regions[0].is_vacuum and data.u_l > 0:
         # the interior gas moves outward and leaves vacuum at the origin
         fronts.insert(0, LinearFront(VACUUM_EDGE, 0.0, data.u_l))
@@ -341,7 +327,7 @@ def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
         m0 += m0s * (t1 - t0)
         p0 += p0s * (t1 - t0)
         if name == "t_in":
-            fronts, regions = [_post_front(data)], [regions[0], regions[2]]
+            fronts, regions = [post_absorption(data)], [regions[0], regions[2]]
         else:
             f, fronts, regions = fronts[0], fronts[1:], regions[1:]
             if f.kind == SHADOW_WAVE:
@@ -349,12 +335,19 @@ def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
                 m0 += dm
                 p0 += dm * f.speed(t1)
         t0 = t1
-    return WavePlan(data=data, case=tag, phases=tuple(phases), events=events,
+    return WavePlan(data=data, case=kind, phases=tuple(phases), events=events,
                     t_max=float(t_max))
 
 
 # ---------------------------------------------------------------------------
 # Sampling
+
+def _power_or_inf(x: float, e: float) -> float:
+    try:
+        return x ** e
+    except OverflowError:
+        return INF
+
 
 @dataclass(frozen=True)
 class GridSample:
@@ -382,7 +375,8 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
     differs from it by an ulp on some radii.  Every value has the bits of
     a call per time.  At r = 0 a power-law region gives rho = coeff for
     n = 1 and inf for n >= 2 (the density coeff r^{1-n} is singular
-    there), so samples.csv then holds inf."""
+    there), so samples.csv then holds inf; so does a radius whose r^{1-n}
+    leaves float range."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not (r >= 0).all():
@@ -404,11 +398,15 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
         is_vacuum[rows] = np.array([p.is_vacuum for p in ph.regions])[idx]
         m0[rows] = ph.m0(T[:, 0])
         groups.append((ph, rows, T, idx))
-    # r^{1-n} only where some time has gas: Python's power can overflow
+    # r^{1-n} only where some time has gas; where Python's power overflows
+    # (a radius near the smallest double), rho is inf, as at r = 0
     positive = r > 0
     need = positive & ~is_vacuum.all(axis=0)
     rpow = np.zeros(r.shape)
-    rpow[need] = [x ** (1 - n) for x in r[need].tolist()]
+    try:
+        rpow[need] = [x ** (1 - n) for x in r[need].tolist()]
+    except OverflowError:
+        rpow[need] = [_power_or_inf(x, 1 - n) for x in r[need].tolist()]
     with np.errstate(all="ignore"):
         for ph, rows, T, idx in groups:
             coeff = np.array([p.coeff for p in ph.regions])[idx]

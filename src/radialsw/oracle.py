@@ -231,7 +231,7 @@ def compare(plan: WavePlan, ps: ParticleSystem, t: float, r_max: float) -> dict:
         "pos_exact": pos_exact, "pos_oracle": pos_oracle,
         "mass_exact": mass_exact, "mass_oracle": mass_oracle,
         "m0_exact": plan.m0(t), "m0_oracle": ps.m0,
-        "Q_exact": verify.total_mass(plan, t, r_max),
+        "Q_exact": verify.conserved_pair(plan, t, r_max).Q,
         "Q_oracle": ps.total_mass() + ps.m0,
     }
     report["pos_error"] = (abs(pos_oracle - pos_exact)

@@ -30,6 +30,8 @@ _PANELS_PER_PASS = 8
 QUAD_TOL = 1e-10           # absolute quadrature target per residual
 ORDER_FIT_FLOOR = 10 * QUAD_TOL
 LADDER_ORDER_GATE = 0.9    # least fitted order of a passing weak ladder
+EPS0 = 1e-2                # widest strip of the weak ladder
+ENTROPY_TOL = 1e-12        # largest dissipation cubic of a dissipative front
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +42,29 @@ def entropy_lhs(rho0: float, u0: float, rho1: float, u1: float, cdot: float) -> 
     + [rho u^3]; the front is dissipative iff the value is <= 0."""
     br, bru, bru2, bru3 = jump_brackets(rho0, u0, rho1, u1)
     return -cdot ** 3 * br + 3 * cdot ** 2 * bru - 3 * cdot * bru2 + bru3
+
+
+def worst_entropy_lhs(plan: WavePlan) -> Optional[float]:
+    """Worst dissipation cubic over shadow-wave fronts at phase midpoints;
+    None when the plan carries no shadow wave.  The plan is dissipative
+    when the value is <= ENTROPY_TOL."""
+    cubics = []
+    for ph in plan.phases:
+        t_hi = ph.t_end if np.isfinite(ph.t_end) else ph.t_start + 1.0
+        t_mid = 0.5 * (ph.t_start + t_hi)
+        width = t_hi - ph.t_start
+        t_mid = min(max(t_mid, ph.t_start + 1e-9 * width), t_hi - 1e-9 * width)
+        for k, fr in enumerate(ph.fronts):
+            if fr.kind != SHADOW_WAVE:
+                continue
+            st = fr.state(t_mid)
+            cubics.append(entropy_lhs(
+                ph.regions[k].density(st.xi, plan.data.n),
+                ph.regions[k].velocity,
+                ph.regions[k + 1].density(st.xi, plan.data.n),
+                ph.regions[k + 1].velocity,
+                st.speed))
+    return max(cubics, default=None)
 
 
 def is_overcompressive(u0: float, v: float, u1: float) -> bool:
@@ -88,19 +113,14 @@ def rankine_hugoniot_degenerate(rho0: float, u0: float, rho1: float, u1: float) 
 # ---------------------------------------------------------------------------
 # Conserved totals on (0, r_max]
 
-def _phase_geometry(plan: WavePlan, t: float, r_max: float):
+def conserved_pair(plan: WavePlan, t: float, r_max: float) -> ConservedPair:
+    """Total mass Q and momentum M at time t in one pass: origin ledgers,
+    regular power-law integrals, shadow-front atoms, and the constant
+    outflow through r_max."""
     ph = plan.phase_at(t)
-    pos = [f.xi(t) for f in ph.fronts]
-    if any(x > r_max for x in pos):
+    bounds = [0.0] + [f.xi(t) for f in ph.fronts] + [r_max]
+    if any(x > r_max for x in bounds[1:-1]):
         raise DomainError("a front lies beyond r_max=%g at t=%g" % (r_max, t))
-    bounds = [0.0] + pos + [r_max]
-    return ph, bounds
-
-
-def _totals(plan: WavePlan, t: float, r_max: float):
-    """(Q, M) in one pass: origin ledgers, regular power-law integrals,
-    shadow-front atoms, and the constant outflow through r_max."""
-    ph, bounds = _phase_geometry(plan, t, r_max)
     n = plan.data.n
     S = surface_area(n)
     Q, M = ph.m0(t), ph.p0(t)
@@ -117,23 +137,7 @@ def _totals(plan: WavePlan, t: float, r_max: float):
     if not out.is_vacuum:
         Q += S * out.coeff * out.velocity * t
         M += S * out.coeff * out.velocity ** 2 * t
-    return Q, M
-
-
-def total_mass(plan: WavePlan, t: float, r_max: float) -> float:
-    """Q(t) = m0 + regular power-law integrals + shadow-front atoms
-    + the constant outflow through r_max."""
-    return _totals(plan, t, r_max)[0]
-
-
-def total_momentum(plan: WavePlan, t: float, r_max: float) -> float:
-    """M(t) = origin momentum tally + regular momentum + atom momentum
-    + the constant momentum outflow through r_max."""
-    return _totals(plan, t, r_max)[1]
-
-
-def conserved_pair(plan: WavePlan, t: float, r_max: float) -> ConservedPair:
-    return ConservedPair(*_totals(plan, t, r_max))
+    return ConservedPair(Q, M)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +314,22 @@ def weak_residual(plan: WavePlan, eps: float, phi: TestFunction,
     d_t(rho u^2) + d_r(rho u^3) + (n-1) rho u^3 / r with phi, whose limit
     is <= 0 exactly when the wave is dissipative (phi >= 0).
     """
-    if which not in _MOMENT_POWER:
-        raise DomainError("unknown equation %r" % (which,))
-    power = _MOMENT_POWER[which]
-    total = _weak_integrals(plan, phi, (eps,), (power,))[0][power][0]
-    return -total if which == "entropy" else total
+    return _residuals(plan, phi, (eps,), (which,))[0][which][0]
+
+
+def _residuals(plan: WavePlan, phi: TestFunction, ladder, which):
+    """({equation: per-rung residuals}, per-rung time panel counts); the
+    entropy residual is the negated weak integral.  DomainError for no
+    equation or an unknown one."""
+    which = tuple(which)
+    if not which or not set(which) <= set(_MOMENT_POWER):
+        raise DomainError("equations must be some of %s, got %r"
+                          % (sorted(_MOMENT_POWER), which))
+    totals, panels = _weak_integrals(plan, phi, ladder,
+                                     {_MOMENT_POWER[eq] for eq in which})
+    return {eq: tuple(-x if eq == "entropy" else x
+                      for x in totals[_MOMENT_POWER[eq]])
+            for eq in which}, panels
 
 
 @dataclass(frozen=True)
@@ -334,13 +349,13 @@ class ResidualReport:
                    for o in self.order.values())
 
 
-def fit_order(eps: Sequence[float], residuals: Sequence[float],
-              floor: float = ORDER_FIT_FLOOR) -> float:
+def fit_order(eps: Sequence[float], residuals: Sequence[float]) -> float:
     """Least-squares slope of log|residual| vs log eps, discarding values
-    below the quadrature noise floor; nan when fewer than 3 points remain."""
+    below the quadrature noise floor ORDER_FIT_FLOOR; nan when fewer than
+    3 points remain."""
     ee, rr = [], []
     for e, r in zip(eps, residuals):
-        if abs(r) >= floor:
+        if abs(r) >= ORDER_FIT_FLOOR:
             ee.append(math.log(e))
             rr.append(math.log(abs(r)))
     if len(ee) < 3:
@@ -350,32 +365,24 @@ def fit_order(eps: Sequence[float], residuals: Sequence[float],
 
 def residual_ladder(plan: WavePlan, phi: TestFunction,
                     which: Iterable[str] = ("mass", "momentum"),
-                    eps0: float = 1e-2, halvings: int = 6) -> ResidualReport:
+                    eps0: float = EPS0, halvings: int = 6) -> ResidualReport:
     """Weak residuals over the ladder eps0, eps0/2, ..., eps0/2^halvings
     with fitted convergence order per equation; ResidualReport.passed
     is the verdict.  DomainError for a ladder that cannot fit an order:
     no equation, an unknown one, or fewer than three rungs."""
-    which = tuple(which)
-    if not which or not set(which) <= set(_MOMENT_POWER):
-        raise DomainError("equations must be some of %s, got %r"
-                          % (sorted(_MOMENT_POWER), which))
     if halvings < 2:
         raise DomainError("an order needs halvings >= 2, got %r" % (halvings,))
     ladder = tuple(eps0 * 0.5 ** k for k in range(halvings + 1))
-    totals, panels = _weak_integrals(plan, phi, ladder,
-                                     {_MOMENT_POWER[eq] for eq in which})
-    residuals = {eq: tuple(-x if eq == "entropy" else x
-                           for x in totals[_MOMENT_POWER[eq]])
-                 for eq in which}
+    residuals, panels = _residuals(plan, phi, ladder, which)
     order = {eq: fit_order(ladder, res) for eq, res in residuals.items()}
     return ResidualReport(eps=ladder, residuals=residuals, order=order,
                           panels=panels)
 
 
-def default_test_function(plan: WavePlan,
-                          max_eps: float = 1e-2) -> Optional[TestFunction]:
+def default_test_function(plan: WavePlan) -> Optional[TestFunction]:
     """Bump centered on the first delta front away from the origin and the
-    phase edges; None when the plan carries no such front."""
+    phase edges, clear of the origin by the widest strip EPS0; None when
+    the plan carries no such front."""
     for ph in plan.phases:
         t_hi = ph.t_end if math.isfinite(ph.t_end) else plan.t_max
         t_hi = min(t_hi, plan.t_max)
@@ -390,8 +397,8 @@ def default_test_function(plan: WavePlan,
             r_c = fr.xi(t_c)
             h_r = 0.3 * min(r_c, plan.data.R)
             # keep the support off the origin even with the widest strip
-            if r_c - h_r - max_eps <= 0:
-                h_r = 0.5 * (r_c - max_eps)
+            if r_c - h_r - EPS0 <= 0:
+                h_r = 0.5 * (r_c - EPS0)
             if h_r <= 0 or t_c - h_t < 0:
                 continue
             return TestFunction(r_c=r_c, t_c=t_c, h_r=h_r, h_t=h_t)

@@ -43,7 +43,8 @@ def test_worked_example_reports_exact_constants():
     assert abs(v0) <= 1e-10
     t_in = xr.absorption_time(WORKED)
     assert close(t_in, 1.0)
-    consts, xi_fn, _ = xr.post_absorption(WORKED)
+    consts = xr.post_absorption(WORKED)
+    xi_fn = consts.xi
     assert close(consts.C, 1.0) and abs(consts.D) <= 1e-10 and abs(consts.E) <= 1e-10
     for t in np.linspace(1.0, 4.0, 31):
         assert close(xi_fn(float(t)), -t + 2.0 * math.sqrt(t))
@@ -88,7 +89,7 @@ def test_mass_and_momentum_conserved_across_all_cases():
     for k in range(200):
         data = draw(k % 6)
         plan = xr.solve(data, 5.0)
-        tags.add(plan.case.kind)
+        tags.add(plan.case)
         events = [t for t in plan.events.values() if np.isfinite(t)]
         T = max([5.0] + [1.05 * t for t in events])
         ts = np.linspace(0.0, T, 20)
@@ -202,11 +203,10 @@ def test_front_ode_matches_closed_forms():
 
     def check_post(data):
         t_in = xr.absorption_time(data)
-        consts, xi_fn, sigma_fn = xr.post_absorption(data)
+        sw = xr.post_absorption(data)
+        xi_fn, sigma_fn = sw.xi, sw.sigma
         t_sw0 = xr.origin_hit_time(data)
         t_hi = t_in + 0.95 * (t_sw0 - t_in) if t_sw0 is not None else 10.0
-        sw = xr.PostAbsorptionSW(data.u_r, consts.C, consts.D, consts.E,
-                                 data.rho_r, data.n)
         states = lambda t, xi: (0.0, 0.0,
                                 data.rho_r * xi ** (1 - data.n), data.u_r)
         ivp = so.FrontIVP(t0=t_in, xi0=sw.xi(t_in), speed0=sw.speed(t_in),

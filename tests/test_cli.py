@@ -116,6 +116,29 @@ def test_bad_oracle_N_exits_2(tmp_path):
     assert run(tmp_path, "oracle", cfg)[0] == 2
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {"t_max": "five"}),
+    ("oracle", {"oracle": {"N": [100], "times": [0.5, "two"]}}),
+    ("verify", {"verify": {"r_max": "ten"}}),
+    ("oracle", {"oracle": {"N": [100], "r_max": "far"}}),
+    ("oracle", {"oracle": {"N": ["many"]}}),
+], ids=["t_max", "oracle_times", "verify_r_max", "oracle_r_max", "oracle_N"])
+def test_non_numeric_settings_exit_2(tmp_path, capsys, command, overrides):
+    code, out = run(tmp_path, command, write_config(tmp_path, **overrides))
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("field", ["rho_l", "rho_r", "u_l", "u_r"])
+def test_nan_data_exits_2_without_plan(tmp_path, capsys, field):
+    cfg = write_config(tmp_path, data=dict(WORKED, **{field: math.nan}))
+    code, out = run(tmp_path, "solve", cfg)
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "plan.txt").exists()
+
+
 def test_unknown_expected_fail_exits_2(tmp_path):
     cfg = write_config(tmp_path, verify={"expected_fail": ["everything"]})
     assert run(tmp_path, "verify", cfg)[0] == 2
@@ -310,6 +333,19 @@ def per_time_sample_text(plan, t_grid, r_grid):
 def test_sample_text_matches_per_time_reference(sample):
     plan, r, t = sample
     assert cli._sample_text(plan, t, r) == per_time_sample_text(plan, t, r)
+
+
+def test_subnormal_radius_samples_inf_density(tmp_path):
+    # r^{1-n} overflows at r = 5e-324 (n = 2): gas there has rho = inf
+    cfg = write_config(tmp_path, sample={"r": [5e-324, 1.0], "t": [0.0, 0.5]})
+    code, out = run(tmp_path, "sample", cfg)
+    assert code == 0
+    _, rows = sample_rows(out)
+    tiny = [(r["t"], r["rho"]) for r in rows if r["r"] == cli._fmt(5e-324)]
+    assert tiny == [("0", "inf"), ("0.5", "0")]  # gas, then vacuum
+    ref = run(tmp_path, "sample", write_config(
+        tmp_path, "ref.json", sample={"r": [1.0], "t": [0.0, 0.5]}), "ref")[1]
+    assert [r for r in rows if r["r"] == "1"] == sample_rows(ref)[1]
 
 
 def test_negative_radius_exits_1_before_writing(tmp_path):

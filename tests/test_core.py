@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from radialsw.core import (
     Atom, DomainError, EpsFamily, FrontState, LinearFront, Phase,
     PlanRangeError, PseudoRiemannData, RegionProfile, SHADOW_WAVE, SHOCK,
-    WavePlan, CaseTag, DELTA_SHOCK, jump_brackets, kappa_fluxes,
+    WavePlan, DELTA_SHOCK, jump_brackets, kappa_fluxes,
     surface_area,
 )
 
@@ -73,6 +73,20 @@ def test_data_validation():
     assert isinstance(d.n, int)
 
 
+@pytest.mark.parametrize("field", ["rho_l", "rho_r", "u_l", "u_r"])
+def test_nan_data_rejected(field):
+    fields = dict(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
+    with pytest.raises(DomainError):
+        PseudoRiemannData(**dict(fields, **{field: math.nan}))
+
+
+def test_plan_case_must_be_a_case_kind():
+    ph = Phase(0.0, math.inf, (), (RegionProfile.vacuum(),))
+    data = PseudoRiemannData(n=1, R=1, rho_l=0, rho_r=0, u_l=0, u_r=0)
+    with pytest.raises(DomainError):
+        WavePlan(data=data, case="Vacuum", phases=(ph,), events={}, t_max=1.0)
+
+
 def test_region_profile_density():
     p = RegionProfile.power_law(2.0, 0.5)
     assert p.density(2.0, 3) == pytest.approx(0.5)
@@ -111,7 +125,7 @@ def _tiny_plan():
     ph0 = Phase(0.0, 2.0, (front,), (left, right), m0_start=0.0, m0_slope=0.5)
     ph1 = Phase(2.0, math.inf, (front,), (left, right), m0_start=1.0, m0_slope=0.0)
     data = PseudoRiemannData(n=2, R=1, rho_l=1, rho_r=1, u_l=1, u_r=-1)
-    return WavePlan(data=data, case=CaseTag(DELTA_SHOCK), phases=(ph0, ph1),
+    return WavePlan(data=data, case=DELTA_SHOCK, phases=(ph0, ph1),
                     events={}, t_max=10.0)
 
 
@@ -208,7 +222,7 @@ def test_plan_range_error_via_phase_at():
     left = RegionProfile.power_law(1.0, 0.0)
     ph = Phase(0.0, 5.0, (), (left,))
     data = PseudoRiemannData(n=1, R=1, rho_l=1, rho_r=1, u_l=0, u_r=0)
-    plan = WavePlan(data=data, case=CaseTag("Contact"), phases=(ph,),
+    plan = WavePlan(data=data, case="Contact", phases=(ph,),
                     events={}, t_max=5.0)
     with pytest.raises(PlanRangeError):
         plan.phase_at(7.0)

@@ -104,7 +104,8 @@ def test_matches_constant_speed_closed_form():
 
 
 def test_matches_post_absorption_closed_form():
-    consts, xi_cf, sigma_cf = xr.post_absorption(WORKED)
+    post = xr.post_absorption(WORKED)
+    xi_cf, sigma_cf = post.xi, post.sigma
     t_in, t_sw0 = 1.0, 4.0
     sigma0 = xr.sigma_const(WORKED, t_in)
 

@@ -90,10 +90,10 @@ def test_rankine_hugoniot_degenerate():
 # conserved totals
 
 def _drifts(plan, times, r_max):
-    q0 = vf.total_mass(plan, 0.0, r_max)
-    m0 = vf.total_momentum(plan, 0.0, r_max)
-    dq = max(abs(vf.total_mass(plan, t, r_max) - q0) for t in times)
-    dm = max(abs(vf.total_momentum(plan, t, r_max) - m0) for t in times)
+    q0 = vf.conserved_pair(plan, 0.0, r_max).Q
+    m0 = vf.conserved_pair(plan, 0.0, r_max).M
+    dq = max(abs(vf.conserved_pair(plan, t, r_max).Q - q0) for t in times)
+    dm = max(abs(vf.conserved_pair(plan, t, r_max).M - m0) for t in times)
     return q0, m0, dq, dm
 
 
@@ -121,7 +121,7 @@ def test_worked_example_totals_across_events():
 def test_front_beyond_truncation_radius_rejected():
     plan = xr.solve(WORKED, 6.0)
     with pytest.raises(DomainError):
-        vf.total_mass(plan, 0.5, 0.9)
+        vf.conserved_pair(plan, 0.5, 0.9)
 
 
 # ---------------------------------------------------------------------------
