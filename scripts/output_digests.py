@@ -9,8 +9,11 @@ Runs `radialsw` in this process on the benchmark's generated items
 
 that is 1,848 output files.  It writes one JSON object mapping each run
 ("<workload>/<seed>/<j>/<command>") to its exit code and the sha256 of its
-stdout and of each file it wrote.  Run it on two trees, each with its own
-copy of this script, and compare the two JSON files:
+stdout and of each file it wrote.  The run of the item's own command also
+records, under "check", the outcome of the workload's benchmark check:
+"" (right), "ladder_gate" (right, and the weak ladder reports an order
+below its gate) or the reason the output is wrong.  Run it on two trees,
+each with its own copy of this script, and compare the two JSON files:
 
     python scripts/output_digests.py digests.json
     python scripts/output_digests.py small.json --limit 2
@@ -44,8 +47,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_item(scenario: dict, command: str, work_dir: str) -> dict:
-    """Exit code and digests of stdout and every output file of one run."""
+def run_item(scenario: dict, command: str, work_dir: str, check=None) -> dict:
+    """Exit code and digests of stdout and every output file of one run,
+    and check(rc, stdout, out_dir) under "check" when given."""
     config = os.path.join(work_dir, "scenario.json")
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(scenario, fh)
@@ -57,7 +61,24 @@ def run_item(scenario: dict, command: str, work_dir: str) -> dict:
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
             record[name] = _sha256(fh.read())
+    if check is not None:
+        try:
+            record["check"] = check(rc, buf.getvalue(), out)
+        except Exception as exc:  # recorded as the item's failure reason
+            record["check"] = "raised_%s: %s" % (type(exc).__name__, exc)
     return record
+
+
+def item_check(workload: str, item: dict, reference):
+    """check(rc, stdout, out_dir) of the workload's benchmark check on one
+    item, with the front ODE check of a verify item as its extra input."""
+    check = workloads.WORKLOADS[workload][1]
+
+    def run_check(rc, stdout, out):
+        extra = (workloads.front_ode_check(item)
+                 if workload == "verify_ladder" else None)
+        return check(item, rc, stdout, out, extra, reference)
+    return run_check
 
 
 def main():
@@ -67,14 +88,18 @@ def main():
                     help="items per workload and seed (default: the full set)")
     args = ap.parse_args()
     digests, files = {}, 0
+    reference = workloads.load_sample_reference()
     with tempfile.TemporaryDirectory() as work_dir:
         for workload, seeds, count, make in ITEM_SETS:
             for seed in seeds:
                 for j in range(min(count, args.limit or count)):
                     item = make(seed, j)
                     for command in ("solve", item["command"]):
-                        record = run_item(item["scenario"], command, work_dir)
-                        files += len(record) - 2
+                        check = (item_check(workload, item, reference)
+                                 if command == item["command"] else None)
+                        record = run_item(item["scenario"], command, work_dir,
+                                          check)
+                        files += len(record) - 2 - ("check" in record)
                         digests["%s/%s/%d/%s" % (workload, seed, j,
                                                  command)] = record
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -39,15 +39,16 @@ def main():
     S = rs.surface_area(DATA.n)
     print("%8s %12s %12s %14s %12s" % ("t", "xi", "xi_dot", "front_mass", "m0"))
     for t in np.linspace(0.05, args.t_max, args.steps):
-        sts = [s for s in plan.fronts_at(float(t)) if s.kind == "ShadowWave"]
-        if sts:
-            st = sts[0]
-            mass = S * st.sigma * st.xi ** (DATA.n - 1)
+        t = float(t)
+        sws = [f for f in plan.phase_at(t).fronts if f.kind == "ShadowWave"]
+        if sws:
+            xi = sws[0].xi(t)
+            mass = S * sws[0].sigma(t) * xi ** (DATA.n - 1)
             print("%8.3f %12.8f %12.8f %14.8f %12.8f" % (
-                t, st.xi, st.speed, mass, plan.m0(float(t))))
+                t, xi, sws[0].speed(t), mass, plan.m0(t)))
         else:
             print("%8.3f %12s %12s %14s %12.8f" % (
-                t, "-", "-", "-", plan.m0(float(t))))
+                t, "-", "-", "-", plan.m0(t)))
 
 
 if __name__ == "__main__":

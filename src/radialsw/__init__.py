@@ -12,10 +12,7 @@ from .core import (
     ConservedPair,
     DegenerateDataError,
     DomainError,
-    EpsFamily,
-    FrontState,
     LinearFront,
-    OutOfPhaseError,
     Phase,
     PlanRangeError,
     PreconditionError,
@@ -41,7 +38,6 @@ from .exact_riemann import (
     origin_hit_time,
     post_absorption,
     second_root_speed,
-    sigma_const,
     solve,
 )
 from .sw_ode import (

@@ -89,8 +89,8 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError("cannot read config: %s" % exc) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config is not valid JSON: %s" % exc) from exc
-    if raw.get("schema") != SCHEMA:
-        raise ConfigError("config schema must be %r" % SCHEMA)
+    if not isinstance(raw, dict) or raw.get("schema") != SCHEMA:
+        raise ConfigError("config must be an object with schema %r" % SCHEMA)
     try:
         dd = raw["data"]
         data = PseudoRiemannData(n=int(dd["n"]), R=float(dd["R"]),
@@ -100,8 +100,9 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError("data section needs n, R, rho_l, rho_r, u_l, u_r") from exc
     except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError("bad initial data: %s" % exc) from exc
-    ver = raw.get("verify", {})
-    orc = raw.get("oracle", {})
+    ver, orc, sample = (raw.get(k, {}) for k in ("verify", "oracle", "sample"))
+    if not all(isinstance(sec, dict) for sec in (ver, orc, sample)):
+        raise ConfigError("verify, oracle and sample sections must be objects")
     N_list = orc.get("N", [1000])
     if not isinstance(N_list, list) or not N_list:
         raise ConfigError("oracle N must be a nonempty list")
@@ -113,9 +114,10 @@ def load_scenario(path: str) -> Scenario:
         oracle_times = tuple(float(t) for t in orc.get("times", (0.5, 2.0, 3.9)))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("bad numeric setting: %s" % exc) from exc
+    if oracle_N != tuple(N_list):
+        raise ConfigError("oracle N must be integers, got %r" % (N_list,))
     if not (0 < t_max < math.inf):
         raise ConfigError("t_max must be positive and finite")
-    sample = raw.get("sample", {})
     r_grid = _grid(sample.get("r", {"start": 0.1 * data.R, "stop": 2.0 * data.R, "count": 21}), "r")
     t_grid = _grid(sample.get("t", {"start": 0.0, "stop": t_max, "count": 11}), "t")
     if t_grid[0] < 0 or t_grid[-1] > t_max:

@@ -8,8 +8,7 @@ The system under study is
 on r > 0, with initial data proportional to r^{1-n} on either side of a
 single jump at radius R ("pseudo-Riemann data").  Densities are stored as
 coefficients of r^{1-n} throughout; pointwise values are computed on
-demand.  All types here are immutable after construction and safe to share
-across workers.
+demand.  All types here are immutable after construction.
 """
 from __future__ import annotations
 
@@ -33,10 +32,6 @@ class DomainError(RadialSWError, ValueError):
 
 class DegenerateDataError(DomainError):
     """Both densities vanish where at least one is required."""
-
-
-class OutOfPhaseError(RadialSWError):
-    """Time outside the validity window of a closed form."""
 
 
 class PreconditionError(RadialSWError):
@@ -148,21 +143,6 @@ class RegionProfile:
         return self.coeff * r ** (1 - n)
 
 
-@dataclass(frozen=True)
-class FrontState:
-    """Snapshot of one front at a fixed time."""
-    kind: str           # ShadowWave | Shock | Contact | VacuumEdge
-    xi: float           # absolute position
-    speed: float        # xi-dot
-    sigma: float = 0.0  # lineal delta mass; zero unless ShadowWave
-
-    def __post_init__(self):
-        if self.kind not in (SHADOW_WAVE, SHOCK, CONTACT, VACUUM_EDGE):
-            raise DomainError("unknown front kind %r" % (self.kind,))
-        if self.kind != SHADOW_WAVE and self.sigma != 0.0:
-            raise DomainError("sigma must be 0 for non-shadow fronts")
-
-
 class FrontPath(Protocol):
     """Time-parameterized front: position, speed and lineal mass.  xi,
     speed and sigma take a float time, or an array of times and give an
@@ -172,8 +152,6 @@ class FrontPath(Protocol):
     def xi(self, t: float) -> float: ...
     def speed(self, t: float) -> float: ...
     def sigma(self, t: float) -> float: ...
-
-    def state(self, t: float) -> FrontState: ...
 
     def times_at(self, x: float, lo: float, hi: float) -> list:
         """Sorted times t in [lo, hi] with xi(t) = x, in closed form."""
@@ -224,9 +202,6 @@ class LinearFront:
 
     def sigma(self, t):
         return path_const(t, 0.0)
-
-    def state(self, t):
-        return FrontState(self.kind, self.xi(t), self.velocity, 0.0)
 
     def times_at(self, x, lo, hi):
         return linear_times(self.xi0, self.velocity, self.t0, x, lo, hi)
@@ -299,9 +274,6 @@ class WavePlan:
                 return ph
         raise PlanRangeError("no phase covers t=%r" % (t,))
 
-    def fronts_at(self, t: float) -> list:
-        return [f.state(t) for f in self.phase_at(t).fronts]
-
     def m0(self, t: float) -> float:
         """Origin point mass m0(t): the running integral of the inflow flux
         |S^{n-1}| lim r^{n-1} rho (-u)_+ plus the front dump at t_sw0,
@@ -334,57 +306,6 @@ class ConservedPair:
     """Total mass and momentum of a truncated solution."""
     Q: float
     M: float
-
-
-@dataclass(frozen=True)
-class EpsFamily:
-    """Mollified realization of a plan at strip width eps.
-
-    Outside the strips of half-width eps/2 around each shadow front the
-    fields equal the plan's regular fields; inside, density is sigma(t)/eps
-    and velocity is the front speed.  eps is a float, or an array that
-    broadcasts with the radii and times given to profile (one width per
-    row).
-    """
-    plan: WavePlan
-    eps: float
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.eps) > 0):
-            raise DomainError("eps must be positive")
-
-    def profile(self, r, t):
-        """The one strip rule, as arrays (c, u, strip) at radii r (an
-        array) and times t (a float, or an array broadcasting with r, all
-        in one phase).  Inside a strip [xi - eps/2, xi + eps/2] (ends
-        included; where strips overlap, the innermost front's) strip is
-        True, c = sigma/eps is the density and u the front speed; elsewhere
-        c is the region's coefficient (density c r^{1-n}) and u its
-        velocity, both 0 in vacuum."""
-        ph = self.plan.phase_at(float(np.min(t)))
-        if np.max(t) >= ph.t_end:
-            raise DomainError("times span more than one phase")
-        live = [(0.0, 0.0) if p.is_vacuum else (p.coeff, p.velocity)
-                for p in ph.regions]
-        c, u = np.array(live).T[:, ph.region_index(r, t)]
-        strip = np.zeros(c.shape, dtype=bool)
-        h = 0.5 * self.eps
-        for f in reversed(ph.fronts):
-            if f.kind == SHADOW_WAVE:
-                x = f.xi(t)
-                hit = (x - h <= r) & (r <= x + h)
-                c = np.where(hit, f.sigma(t) / self.eps, c)
-                u = np.where(hit, f.speed(t), u)
-                strip |= hit
-        return c, u, strip
-
-    def state(self, r, t: float):
-        """(rho, u) of the realized family at radius r, a float or an
-        array, at time t; vacuum gives (0, 0)."""
-        rr = np.asarray(r, dtype=float)
-        c, u, strip = self.profile(rr, t)
-        rho = np.where(strip, c, c * rr ** (1 - self.plan.data.n))
-        return (float(rho), float(u)) if rr.ndim == 0 else (rho, u)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ import numpy as np
 from .core import (
     ALL_VACUUM, CASE_CONTACT, CONTACT, DELTA_SHOCK, SHADOW_WAVE, SHOCK,
     VACUUM_EDGE, VACUUM_FAN, VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK,
-    Atom, DegenerateDataError, DomainError, FrontState, LinearFront,
-    OutOfPhaseError, Phase, PlanRangeError, PreconditionError,
-    PseudoRiemannData, RegionProfile, SolutionSample, WavePlan,
+    Atom, DegenerateDataError, DomainError, LinearFront, Phase,
+    PlanRangeError, PreconditionError, PseudoRiemannData, RegionProfile,
+    SolutionSample, WavePlan,
     linear_times, path_const, path_power, path_sqrt, surface_area,
 )
 
@@ -61,9 +61,6 @@ class ConstSpeedSW:
         """S xi^{n-1} sigma, written without xi: sigma xi^{n-1} = amp t."""
         return S * self.amp * t
 
-    def state(self, t):
-        return FrontState(SHADOW_WAVE, self.xi(t), self.v0, self.sigma(t))
-
     def times_at(self, x, lo, hi):
         return linear_times(self.R, self.v0, 0.0, x, lo, hi)
 
@@ -93,9 +90,6 @@ class PostAbsorptionSW:
     def total_mass(self, S, t):
         """S xi^{n-1} sigma, written without xi."""
         return S * ((2.0 * self.rho_r / self.C) * math.sqrt(self.C * t + self.D))
-
-    def state(self, t):
-        return FrontState(SHADOW_WAVE, self.xi(t), self.speed(t), self.sigma(t))
 
     def times_at(self, x, lo, hi):
         """With s = sqrt(Ct+D), xi(t) = x reads u_r s^2 + 2 s + (C(E-x) -
@@ -179,19 +173,6 @@ def _const_front(data: PseudoRiemannData) -> ConstSpeedSW:
     v0 = first_root_speed(data.rho_l, data.u_l, data.rho_r, data.u_r)
     amp = math.sqrt(data.rho_l * data.rho_r) * (data.u_l - data.u_r)
     return ConstSpeedSW(data.R, v0, amp, data.n)
-
-
-@_in_float_range
-def sigma_const(data: PseudoRiemannData, t: float) -> float:
-    """Lineal front mass of the constant-speed shadow wave,
-    sigma(t) = t sqrt(rho_l rho_r) (u_l - u_r) (R + v0 t)^{1-n}."""
-    _require_delta_shock(data)
-    if t < 0:
-        raise OutOfPhaseError("negative time")
-    t_in = absorption_time(data)
-    if t_in is not None and t > t_in * (1 + 1e-12):
-        raise OutOfPhaseError("t=%g beyond absorption time %g" % (t, t_in))
-    return _const_front(data).sigma(t)
 
 
 @_in_float_range

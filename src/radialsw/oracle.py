@@ -219,10 +219,10 @@ def compare(plan: WavePlan, ps: ParticleSystem, t: float, r_max: float) -> dict:
         raise DomainError("particle system is not at the requested time")
     S = surface_area(plan.data.n)
     pos_exact = mass_exact = None
-    for front in plan.fronts_at(t):
+    for front in plan.phase_at(t).fronts:
         if front.kind == SHADOW_WAVE:
-            pos_exact = front.xi
-            mass_exact = S * front.sigma * front.xi ** (plan.data.n - 1)
+            pos_exact = front.xi(t)
+            mass_exact = S * front.sigma(t) * pos_exact ** (plan.data.n - 1)
             break
     got = front_extract(ps)
     pos_oracle, mass_oracle = got if got is not None else (None, None)

@@ -17,8 +17,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    ConservedPair, DomainError, EpsFamily, SHADOW_WAVE, UnsupportedRegionError,
-    WavePlan, jump_brackets, linear_times, surface_area,
+    ConservedPair, DomainError, SHADOW_WAVE, UnsupportedRegionError, WavePlan,
+    jump_brackets, linear_times, surface_area,
 )
 from .exact_riemann import PostAbsorptionSW
 
@@ -57,13 +57,13 @@ def worst_entropy_lhs(plan: WavePlan) -> Optional[float]:
         for k, fr in enumerate(ph.fronts):
             if fr.kind != SHADOW_WAVE:
                 continue
-            st = fr.state(t_mid)
+            xi = fr.xi(t_mid)
             cubics.append(entropy_lhs(
-                ph.regions[k].density(st.xi, plan.data.n),
+                ph.regions[k].density(xi, plan.data.n),
                 ph.regions[k].velocity,
-                ph.regions[k + 1].density(st.xi, plan.data.n),
+                ph.regions[k + 1].density(xi, plan.data.n),
                 ph.regions[k + 1].velocity,
-                st.speed))
+                fr.speed(t_mid)))
     return max(cubics, default=None)
 
 
@@ -211,6 +211,32 @@ def _edges(front, eps):
     return (-0.5 * eps, 0.5 * eps) if front.kind == SHADOW_WAVE else (0.0,)
 
 
+def _strip_profile(ph, eps, r, t):
+    """The one strip rule of the eps-realized family in phase ph, as arrays
+    (c, u, strip) at radii r (an array) and times t (a float, or an array
+    broadcasting with r, all in ph); eps is a float or an array
+    broadcasting with them (one strip width per row).  Inside a strip
+    [xi - eps/2, xi + eps/2] (ends included; where strips overlap, the
+    innermost front's) strip is True, c = sigma/eps is the density and u
+    the front speed; elsewhere c is the region's coefficient (density
+    c r^{1-n}) and u its velocity, both 0 in vacuum."""
+    if not ph.t_start <= np.min(t) <= np.max(t) < ph.t_end:
+        raise DomainError("times span more than one phase")
+    live = [(0.0, 0.0) if p.is_vacuum else (p.coeff, p.velocity)
+            for p in ph.regions]
+    c, u = np.array(live).T[:, ph.region_index(r, t)]
+    strip = np.zeros(c.shape, dtype=bool)
+    h = 0.5 * eps
+    for f in reversed(ph.fronts):
+        if f.kind == SHADOW_WAVE:
+            x = f.xi(t)
+            hit = (x - h <= r) & (r <= x + h)
+            c = np.where(hit, f.sigma(t) / eps, c)
+            u = np.where(hit, f.speed(t), u)
+            strip |= hit
+    return c, u, strip
+
+
 def _time_breakpoints(plan: WavePlan, eps: float, phi: TestFunction):
     """Times where a discontinuity of the eps-realized family crosses an
     r-edge of phi's support or another discontinuity, in closed form.
@@ -253,7 +279,7 @@ def _weak_integrals(plan: WavePlan, phi: TestFunction, ladder, powers):
     one phase go through numpy passes of _PANELS_PER_PASS panels.  Row
     (panel, k) of a pass is time node k of a panel; its r panels run
     between phi's support edges and the family's discontinuities clipped
-    to the support (empty ones drop out), and EpsFamily.profile, with each
+    to the support (empty ones drop out), and _strip_profile, with each
     panel's eps, decides them at their midpoints.  Every power reuses the
     cuts, the profile and TestFunction.jet.  The r and t sums still run
     per time panel, since a matrix product sums a row differently among
@@ -281,8 +307,8 @@ def _weak_integrals(plan: WavePlan, phi: TestFunction, ladder, powers):
         lo, hi = cuts[..., :-1], cuts[..., 1:]
         keep = hi - lo >= 1e-14
         pan, node, _ = np.nonzero(keep)
-        c, u, strip = (v[keep][:, None] for v in EpsFamily(
-            plan, eps[..., None]).profile(0.5 * (lo + hi), t[..., None]))
+        c, u, strip = (v[keep][:, None] for v in _strip_profile(
+            ph, eps[..., None], 0.5 * (lo + hi), t[..., None]))
         rhalf = 0.5 * (hi - lo)[keep]
         rr = 0.5 * (lo + hi)[keep][:, None] + rhalf[:, None] * _GL_X
         phi_v, phi_r, phi_t = phi.jet(rr, t[pan, node][:, None])
@@ -320,11 +346,13 @@ def weak_residual(plan: WavePlan, eps: float, phi: TestFunction,
 def _residuals(plan: WavePlan, phi: TestFunction, ladder, which):
     """({equation: per-rung residuals}, per-rung time panel counts); the
     entropy residual is the negated weak integral.  DomainError for no
-    equation or an unknown one."""
+    equation, an unknown one, or a strip width that is not positive."""
     which = tuple(which)
     if not which or not set(which) <= set(_MOMENT_POWER):
         raise DomainError("equations must be some of %s, got %r"
                           % (sorted(_MOMENT_POWER), which))
+    if not all(eps > 0 for eps in ladder):
+        raise DomainError("eps must be positive")
     totals, panels = _weak_integrals(plan, phi, ladder,
                                      {_MOMENT_POWER[eq] for eq in which})
     return {eq: tuple(-x if eq == "entropy" else x

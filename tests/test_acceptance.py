@@ -165,8 +165,8 @@ def test_weak_residuals_vanish_with_strip_width():
             assert order >= 0.9, (data, which, order)
         # smooth-region control: support beyond every front at all times
         t_c, h_t = 0.4, 0.3
-        xi_max = max(s.xi for t in np.linspace(0.0, t_c + h_t, 30)
-                     for s in plan.fronts_at(float(t)))
+        xi_max = max(f.xi(float(t)) for t in np.linspace(0.0, t_c + h_t, 30)
+                     for f in plan.phase_at(float(t)).fronts)
         phi_smooth = verify.TestFunction(r_c=xi_max + 0.305, t_c=t_c,
                                          h_r=0.25, h_t=h_t)
         for eps in report.eps:
@@ -189,13 +189,14 @@ def test_front_ode_matches_closed_forms():
 
     def check_const(data, t_hi):
         v0 = xr.first_root_speed(data.rho_l, data.u_l, data.rho_r, data.u_r)
+        closed = xr.solve(data, 1.0).phases[0].fronts[-1]
         ivp = so.FrontIVP(t0=0.0, xi0=data.R, speed0=None, sigma0=0.0,
                           outer_states=power_law_states(data), n=data.n)
         front = so.integrate_front(ivp, t_hi, tol=1e-12, atol=1e-14)
         for t in np.linspace(1e-3, t_hi, 40):
             xi, _, sigma = front(float(t))
             assert abs(xi - (data.R + v0 * t)) <= 1e-8
-            assert abs(sigma - xr.sigma_const(data, float(t))) <= 1e-8
+            assert abs(sigma - closed.sigma(float(t))) <= 1e-8
 
     check_const(W, xr.absorption_time(W))
     check_const(A, 0.95 * xr.origin_hit_time(A))
@@ -286,7 +287,8 @@ def test_sticky_particle_oracle_converges():
         for t in times:
             ps.run_until(t)
             pos, _ = orc.front_extract(ps)
-            xi = [s.xi for s in plan.fronts_at(t) if s.kind == SHADOW_WAVE][0]
+            xi = [f.xi(t) for f in plan.phase_at(t).fronts
+                  if f.kind == SHADOW_WAVE][0]
             errors[t].append(abs(pos - xi))
         ps.run_until(4.2)
         hit = orc.largest_absorption_time(ps)
@@ -319,8 +321,8 @@ def test_one_dimensional_reduction_is_classical():
         t_sw0 = plan.events["t_sw0"]
         for frac in (0.15, 0.4, 0.65, 0.9):
             t = frac * min(t_sw0, 10.0)
-            st = [s for s in plan.fronts_at(t) if s.kind == SHADOW_WAVE][0]
-            assert st.speed == v0
+            f = [f for f in plan.phase_at(t).fronts if f.kind == SHADOW_WAVE][0]
+            assert f.speed(t) == v0
             scale = max(1.0, abs(kappa1 * t))
-            assert abs(st.sigma - kappa1 * t) <= 1e-12 * scale, (data, t)
+            assert abs(f.sigma(t) - kappa1 * t) <= 1e-12 * scale, (data, t)
     assert time.monotonic() < budget

@@ -114,6 +114,8 @@ def test_bad_oracle_N_exits_2(tmp_path):
     assert run(tmp_path, "oracle", cfg)[0] == 2
     cfg = write_config(tmp_path, oracle={"N": 100})
     assert run(tmp_path, "oracle", cfg)[0] == 2
+    cfg = write_config(tmp_path, oracle={"N": [2.7], "times": [0.5]})
+    assert run(tmp_path, "oracle", cfg)[0] == 2
 
 
 @pytest.mark.parametrize("command, overrides", [
@@ -125,6 +127,25 @@ def test_bad_oracle_N_exits_2(tmp_path):
 ], ids=["t_max", "oracle_times", "verify_r_max", "oracle_r_max", "oracle_N"])
 def test_non_numeric_settings_exit_2(tmp_path, capsys, command, overrides):
     code, out = run(tmp_path, command, write_config(tmp_path, **overrides))
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("verify", {"verify": 5}),
+    ("oracle", {"oracle": [1]}),
+    ("sample", {"sample": "x"}),
+    ("solve", [1]),
+], ids=["verify", "oracle", "sample", "top_level"])
+def test_non_object_config_or_section_exits_2(tmp_path, capsys, command,
+                                               config):
+    if isinstance(config, dict):
+        path = write_config(tmp_path, **config)
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+    code, out = run(tmp_path, command, str(path))
     assert code == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)

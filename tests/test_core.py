@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radialsw.core import (
-    Atom, DomainError, EpsFamily, FrontState, LinearFront, Phase,
-    PlanRangeError, PseudoRiemannData, RegionProfile, SHADOW_WAVE, SHOCK,
-    WavePlan, DELTA_SHOCK, jump_brackets, kappa_fluxes,
-    surface_area,
+    Atom, DomainError, LinearFront, Phase, PlanRangeError, PseudoRiemannData,
+    RegionProfile, SHOCK, WavePlan, DELTA_SHOCK, jump_brackets,
+    kappa_fluxes, surface_area,
 )
+from radialsw.verify import _strip_profile
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 density = st.floats(min_value=0, max_value=50, allow_nan=False)
@@ -98,21 +98,11 @@ def test_region_profile_density():
         RegionProfile("mist")
 
 
-def test_front_state_sigma_rules():
-    FrontState(SHADOW_WAVE, 1.0, 0.0, sigma=2.0)
-    with pytest.raises(DomainError):
-        FrontState(SHOCK, 1.0, 0.0, sigma=1.0)
-    with pytest.raises(DomainError):
-        FrontState("Ripple", 1.0, 0.0)
-
-
 def test_linear_front_path():
     f = LinearFront(SHOCK, xi0=2.0, velocity=-0.5, t0=1.0)
     assert f.xi(3.0) == pytest.approx(1.0)
     assert f.speed(3.0) == -0.5
     assert f.sigma(3.0) == 0.0
-    st_ = f.state(3.0)
-    assert st_.kind == SHOCK and st_.xi == pytest.approx(1.0)
     assert f.times_at(1.0, 0.0, 5.0) == [3.0]
     assert f.times_at(1.0, 3.5, 5.0) == []
     assert LinearFront(SHOCK, xi0=1.0, velocity=0.0).times_at(1.0, 0.0, 5.0) == []
@@ -173,44 +163,52 @@ def test_eps_family_strip_and_moments():
     import radialsw.exact_riemann as xr
     d = PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
     plan = xr.solve(d, 6.0)
-    fam = EpsFamily(plan, eps=1e-2)
-    rho, u = fam.state(1.0, 0.5)  # inside the strip around xi = 1
-    assert rho == pytest.approx(xr.sigma_const(d, 0.5) / 1e-2)
+    eps = 1e-2
+
+    def state(r, t):
+        """(rho, u) of the eps-realized family at radius r, a float or an
+        array, at time t; vacuum gives (0, 0)."""
+        rr = np.asarray(r, dtype=float)
+        c, u, strip = _strip_profile(plan.phase_at(t), eps, rr, t)
+        rho = np.where(strip, c, c * rr ** (1 - plan.data.n))
+        return (float(rho), float(u)) if rr.ndim == 0 else (rho, u)
+
+    rho, u = state(1.0, 0.5)  # inside the strip around xi = 1
+    assert rho == pytest.approx(plan.phase_at(0.5).fronts[-1].sigma(0.5) / 1e-2)
     assert u == 0.0
-    rho_out, u_out = fam.state(1.2, 0.5)
+    rho_out, u_out = state(1.2, 0.5)
     assert rho_out == pytest.approx(1.0 / 1.2)
     assert u_out == -1.0
     # the array form is the scalar rule at each point: strip interiors, both
     # strip ends (inclusive), one ulp outside them, regular regions and the
     # inner vacuum, in the constant-speed and the post-absorption phase
-    h = 0.5 * fam.eps
+    h = 0.5 * eps
     for t in (0.5, 2.0):
         front = plan.phase_at(t).fronts[-1]
         x = front.xi(t)
         ends = (x - h, x + h)
         beyond = (np.nextafter(x - h, 0.0), np.nextafter(x + h, 9.0))
         radii = np.array((x, x - 0.3 * h, *ends, *beyond, x + 0.2, 0.1))
-        rho, u = fam.state(radii, t)
+        rho, u = state(radii, t)
         assert rho.shape == u.shape == radii.shape
         for k, r in enumerate(radii.tolist()):
-            assert (rho[k], u[k]) == fam.state(r, t)
-        in_strip = (front.sigma(t) / fam.eps, front.speed(t))
+            assert (rho[k], u[k]) == state(r, t)
+        in_strip = (front.sigma(t) / eps, front.speed(t))
         for r in (x, *ends):
-            assert fam.state(r, t) == in_strip
+            assert state(r, t) == in_strip
         for r in beyond:
-            assert fam.state(r, t)[0] < 0.5 * in_strip[0]
-        assert fam.state(0.1, t) == (0.0, 0.0)  # inner vacuum
+            assert state(r, t)[0] < 0.5 * in_strip[0]
+        assert state(0.1, t) == (0.0, 0.0)  # inner vacuum
     # per-point times within one phase: each row is its own time
+    ph = plan.phase_at(0.5)
     times = np.array([[0.3], [0.5], [0.7]])
-    c, u, strip = fam.profile(np.tile(radii, (3, 1)), times)
+    c, u, strip = _strip_profile(ph, eps, np.tile(radii, (3, 1)), times)
     for k, t in enumerate(times[:, 0]):
-        ck, uk, sk = fam.profile(radii, float(t))
+        ck, uk, sk = _strip_profile(ph, eps, radii, float(t))
         assert c[k].tolist() == ck.tolist() and u[k].tolist() == uk.tolist()
         assert strip[k].tolist() == sk.tolist()
     with pytest.raises(DomainError):
-        fam.profile(radii[:2], np.array([0.5, 1.5]))
-    with pytest.raises(DomainError):
-        EpsFamily(plan, eps=0.0)
+        _strip_profile(ph, eps, radii[:2], np.array([0.5, 1.5]))
 
 
 def test_atom_mass_identity():

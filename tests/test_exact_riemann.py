@@ -11,8 +11,8 @@ from grid_strategies import sampled_plans
 from radialsw.core import (
     ALL_VACUUM, CASE_CONTACT, DELTA_SHOCK, SHADOW_WAVE, VACUUM_FAN,
     VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK, DegenerateDataError, DomainError,
-    OutOfPhaseError, PlanRangeError, PreconditionError, PseudoRiemannData,
-    kappa_fluxes, surface_area,
+    PlanRangeError, PreconditionError, PseudoRiemannData, kappa_fluxes,
+    surface_area,
 )
 
 WORKED = PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
@@ -111,24 +111,22 @@ def test_first_root_is_convex_combination(rho0, u0, rho1, u1):
 # ---------------------------------------------------------------------------
 # constant-speed closed forms
 
+def const_front(d):
+    """The plan's constant-speed shadow front, valid on its first phase."""
+    front = xr.solve(d, 1.0).phases[0].fronts[-1]
+    assert isinstance(front, xr.ConstSpeedSW)
+    return front
+
+
 def test_sigma_const_values():
-    assert xr.sigma_const(WORKED, 1.0) == pytest.approx(2.0, rel=1e-14)
-    assert xr.sigma_const(WORKED, 0.0) == 0.0
-    # n = 1 kills the geometric factor: sigma = kappa1 * t.  Checked inside
-    # the validity window (u_l = 1 data absorbs at t_in = 1) and on a datum
-    # with an unbounded window.
-    assert xr.sigma_const(data(n=1), 1.0) == pytest.approx(2.0, rel=1e-14)
+    assert const_front(WORKED).sigma(1.0) == pytest.approx(2.0, rel=1e-14)
+    assert const_front(WORKED).sigma(0.0) == 0.0
+    # n = 1 kills the geometric factor: sigma = kappa1 * t.  Checked up to
+    # the end of the constant-speed phase (u_l = 1 data absorbs at t_in = 1)
+    # and on a datum without absorption.
+    assert const_front(data(n=1)).sigma(1.0) == pytest.approx(2.0, rel=1e-14)
     d1 = data(n=1, rho_l=4.0, rho_r=1.0, u_l=0.0, u_r=-1.0)
-    assert xr.sigma_const(d1, 2.0) == pytest.approx(4.0, rel=1e-14)
-
-
-def test_sigma_const_window():
-    with pytest.raises(OutOfPhaseError):
-        xr.sigma_const(WORKED, -0.5)
-    with pytest.raises(OutOfPhaseError):
-        xr.sigma_const(WORKED, 1.5)  # beyond t_in = 1
-    with pytest.raises(PreconditionError):
-        xr.sigma_const(data(u_l=1.0, u_r=1.0), 0.5)
+    assert const_front(d1).sigma(2.0) == pytest.approx(4.0, rel=1e-14)
 
 
 @given(delta_shock_data(u_l_sign=+1))
@@ -140,7 +138,7 @@ def test_sigma_at_absorption_matches_left_mass(d):
     xi = d.R + v0 * t_in
     assume(xi > 1e-3)
     want = d.R * math.sqrt(d.rho_l) * (math.sqrt(d.rho_l) + math.sqrt(d.rho_r))
-    got = xr.sigma_const(d, t_in) * xi ** (d.n - 1)
+    got = const_front(d).sigma(t_in) * xi ** (d.n - 1)
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -431,8 +429,8 @@ def test_constants_beyond_float_range_raise_domain_error(d):
     (xr.absorption_time, (1, 1.0, 1.0, 5e-324, 1e-300, 0.0)),
     (xr.post_absorption, (1, 1.0, 1.0, 1.0, 1.0, -1e300)),
     (xr.origin_hit_time, (1, 5e-324, 1.0, 5e-324, 5e-324, -1.7e308)),
-    (lambda d: xr.sigma_const(d, 1.0), (1, 5e-324, 5e-324, 5e-324, 5e-324, -1e-300)),
-], ids=["absorption_time", "post_absorption", "origin_hit_time", "sigma_const"])
+    (lambda d: xr.solve(d, 1.0), (1, 5e-324, 5e-324, 5e-324, 5e-324, -1e-300)),
+], ids=["absorption_time", "post_absorption", "origin_hit_time", "solve"])
 def test_public_closed_forms_raise_domain_error_beyond_float_range(fn, d):
     with pytest.raises(DomainError, match="float range"):
         fn(data(*d))
@@ -626,7 +624,7 @@ def test_front_continuity_at_absorption(d):
     speed_post = d.u_r + 1.0 / math.sqrt(consts.C * t_in + consts.D)
     assert abs(speed_post - v0) <= 1e-10 * max(1.0, abs(v0))
     S = surface_area(d.n)
-    mass_pre = S * xi_pre ** (d.n - 1) * xr.sigma_const(d, t_in)
+    mass_pre = S * xi_pre ** (d.n - 1) * const_front(d).sigma(t_in)
     mass_post = S * xi_post(t_in) ** (d.n - 1) * sigma_post(t_in)
     assert abs(mass_post - mass_pre) <= 1e-10 * max(1.0, mass_pre)
 

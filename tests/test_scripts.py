@@ -1,4 +1,5 @@
 """Smoke test: every script in scripts/ runs to completion on tiny inputs."""
+import hashlib
 import json
 import os
 import subprocess
@@ -20,6 +21,14 @@ def test_script_exits_0(script, args):
     assert run_script(script, args).stdout
 
 
+def test_worked_example_output_is_pinned():
+    # sha256 of the 21-step table, recorded before the script moved from
+    # front snapshots to the front paths' methods
+    out = run_script("worked_example.py", ["--steps", "21"]).stdout
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "3bfc803bf6c96268d63541e859aa92c16214e1a17b8137b6c640e8c60e87189c")
+
+
 def run_script(script, args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src")]
@@ -33,7 +42,9 @@ def run_script(script, args):
 
 def test_output_digests_subset(tmp_path):
     # one item per workload and seed: 7 items, each run by solve and by
-    # its own command, one output file per run
+    # its own command, one output file per run; the own command's run also
+    # holds the benchmark check's outcome, which passes or is a weak-ladder
+    # order below the gate
     out = tmp_path / "digests.json"
     run_script("output_digests.py", [str(out), "--limit", "1"])
     digests = json.loads(out.read_text(encoding="utf-8"))
@@ -43,5 +54,9 @@ def test_output_digests_subset(tmp_path):
     for key, record in digests.items():
         name = {"solve": "plan.txt", "sample": "samples.csv",
                 "verify": "verify.txt", "oracle": "oracle.csv"}[key.split("/")[-1]]
-        assert sorted(record) == sorted(["exit", "stdout", name])
+        own = key.split("/")[-1] != "solve"
+        assert sorted(record) == sorted(["exit", "stdout", name]
+                                        + ["check"] * own)
         assert len(record[name]) == 64
+        if own:
+            assert record["check"] in ("", "ladder_gate"), (key, record)

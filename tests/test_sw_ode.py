@@ -12,6 +12,8 @@ from radialsw.core import (
 )
 
 WORKED = PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
+# the plan's constant-speed shadow front, valid up to t_in = 1
+CONST_FRONT = xr.solve(WORKED, 1.0).phases[0].fronts[-1]
 
 
 def power_law_states(d):
@@ -100,14 +102,14 @@ def test_matches_constant_speed_closed_form():
         xi, speed, sigma = traj(t)
         assert xi == pytest.approx(1.0, abs=1e-8)
         assert speed == pytest.approx(0.0, abs=1e-8)
-        assert sigma == pytest.approx(xr.sigma_const(WORKED, t), abs=1e-8)
+        assert sigma == pytest.approx(CONST_FRONT.sigma(t), abs=1e-8)
 
 
 def test_matches_post_absorption_closed_form():
     post = xr.post_absorption(WORKED)
     xi_cf, sigma_cf = post.xi, post.sigma
     t_in, t_sw0 = 1.0, 4.0
-    sigma0 = xr.sigma_const(WORKED, t_in)
+    sigma0 = CONST_FRONT.sigma(t_in)
 
     def states(t, xi):
         return 0.0, 0.0, 1.0 * xi ** -1, -1.0
@@ -141,7 +143,7 @@ def test_accuracy_tracks_tolerance():
     for t in (0.3, 0.6, 0.95):
         xi, _, sigma = traj(t)
         assert abs(xi - 1.0) <= 10 * tol
-        assert abs(sigma - xr.sigma_const(WORKED, t)) <= 10 * tol
+        assert abs(sigma - CONST_FRONT.sigma(t)) <= 10 * tol
 
 
 def test_origin_hit_terminates_trajectory():

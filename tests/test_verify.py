@@ -9,7 +9,7 @@ import radialsw.exact_riemann as xr
 import radialsw.sw_ode as so
 import radialsw.verify as vf
 from radialsw.core import (
-    SHADOW_WAVE, DomainError, EpsFamily, PseudoRiemannData,
+    SHADOW_WAVE, DomainError, PseudoRiemannData,
     UnsupportedRegionError, kappa_fluxes,
 )
 
@@ -212,6 +212,16 @@ def test_vacuous_ladder_rejected_before_quadrature(kwargs, monkeypatch):
         vf.residual_ladder(plan, phi, **kwargs)
 
 
+@pytest.mark.parametrize("eps0", [0.0, -1e-3, math.nan])
+def test_nonpositive_strip_width_rejected(eps0):
+    plan = xr.solve(WORKED, 6.0)
+    phi = vf.default_test_function(plan)
+    with pytest.raises(DomainError):
+        vf.weak_residual(plan, eps0, phi, "mass")
+    with pytest.raises(DomainError):
+        vf.residual_ladder(plan, phi, eps0=eps0)
+
+
 def test_weak_residual_ladder_on_front():
     plan = xr.solve(WORKED, 6.0)
     phi = vf.default_test_function(plan)
@@ -325,8 +335,8 @@ def _path_at(fn, t):
     return np.array([fn(s) for s in np.ravel(t).tolist()]).reshape(np.shape(t))
 
 
-def _reference_profile(fam, r, t):
-    ph = fam.plan.phase_at(float(np.min(t)))
+def _reference_profile(plan, eps, r, t):
+    ph = plan.phase_at(float(np.min(t)))
     assert np.max(t) < ph.t_end
     live = [(0.0, 0.0) if p.is_vacuum else (p.coeff, p.velocity)
             for p in ph.regions]
@@ -335,34 +345,34 @@ def _reference_profile(fam, r, t):
         idx += _path_at(f.xi, t) <= r
     c, u = np.array(live).T[:, idx]
     strip = np.zeros(c.shape, dtype=bool)
-    h = 0.5 * fam.eps
+    h = 0.5 * eps
     for f in reversed(ph.fronts):
         if f.kind == SHADOW_WAVE:
             x = _path_at(f.xi, t)
             hit = (x - h <= r) & (r <= x + h)
-            c = np.where(hit, _path_at(f.sigma, t) / fam.eps, c)
+            c = np.where(hit, _path_at(f.sigma, t) / eps, c)
             u = np.where(hit, _path_at(f.speed, t), u)
             strip |= hit
     return c, u, strip
 
 
-def _reference_time_panel(fam, phi, power, a, b):
+def _reference_time_panel(plan, eps, phi, power, a, b):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     t = mid + half * vf._GL_X
     ts = t.tolist()
     curves = [[phi.r_lo] * t.size, [phi.r_hi] * t.size] + [
         [f.xi(s) + o for s in ts]
-        for f in fam.plan.phase_at(mid).fronts for o in vf._edges(f, fam.eps)]
+        for f in plan.phase_at(mid).fronts for o in vf._edges(f, eps)]
     cuts = np.sort(np.clip(np.array(curves).T, phi.r_lo, phi.r_hi), axis=1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     keep = hi - lo >= 1e-14
     node = np.nonzero(keep)[0]
     c, u, strip = (v[keep][:, None] for v in
-                   _reference_profile(fam, 0.5 * (lo + hi), t[:, None]))
+                   _reference_profile(plan, eps, 0.5 * (lo + hi), t[:, None]))
     rhalf = 0.5 * (hi - lo)[keep]
     rr = 0.5 * (lo + hi)[keep][:, None] + rhalf[:, None] * vf._GL_X
     phi_v, phi_r, phi_t = phi.jet(rr, t[node][:, None])
-    n = fam.plan.data.n
+    n = plan.data.n
     rho = c * np.where(strip, 1.0, rr ** (1 - n))
     a_m = rho * u ** power
     b_m = rho * u ** (power + 1)
@@ -375,11 +385,10 @@ def _reference_time_panel(fam, phi, power, a, b):
 
 def _reference_weak_residual(plan, eps, phi, which):
     """(residual, number of time panels)."""
-    fam = EpsFamily(plan, eps)
     power = {"mass": 0, "momentum": 1, "entropy": 2}[which]
     tb = vf._time_breakpoints(plan, eps, phi)
     panels = [(a, b) for a, b in zip(tb[:-1], tb[1:]) if b - a >= 1e-13]
-    total = sum((_reference_time_panel(fam, phi, power, a, b)
+    total = sum((_reference_time_panel(plan, eps, phi, power, a, b)
                  for a, b in panels), 0.0)
     return (-total if which == "entropy" else total), len(panels)
 
