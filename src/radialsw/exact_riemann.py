@@ -236,6 +236,8 @@ def _ledger_slopes(inner: RegionProfile, S: float):
     u = inner.velocity
     m0_slope = S * inner.coeff * max(0.0, -u)
     p0_slope = -S * inner.coeff * u * u if u != 0.0 else 0.0
+    if not (math.isfinite(m0_slope) and math.isfinite(p0_slope)):
+        raise DomainError("m0/p0 inflow rates leave float range")
     return m0_slope, p0_slope
 
 

@@ -387,6 +387,20 @@ def test_constants_beyond_float_range_exit_1_before_writing(tmp_path, capsys):
         assert "float range" in capsys.readouterr().err
 
 
+def test_inflow_rates_beyond_float_range_exit_1_before_writing(tmp_path,
+                                                              capsys):
+    # S coeff |u| = 2 * 1e300 * 1e300 = inf: every m0 row would read nan,
+    # inf * (t - t_start) at t = t_start
+    data = {"n": 1, "R": 5e-324, "rho_l": 1e300, "rho_r": 1e300,
+            "u_l": -1.0, "u_r": -1e300}
+    cfg = write_config(tmp_path, data=data, t_max=1e-3,
+                       sample={"r": [1e-3, 1e-3, 1], "t": [0.0, 1e-3]})
+    code, out = run(tmp_path, "sample", cfg)
+    assert code == 1
+    assert not (out / "samples.csv").exists()
+    assert "float range" in capsys.readouterr().err
+
+
 def test_default_r_grid_is_valid_for_small_R(tmp_path):
     data = dict(WORKED, R=0.01)
     cfg = write_config(tmp_path, data=data)
@@ -586,9 +600,15 @@ def test_example64_outputs(tmp_path):
 # imports
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only by the front ODE integrator, when it runs
-    code = ("import sys, radialsw.cli; "
-            "sys.exit('scipy.integrate' in sys.modules)")
+    # the package runs on numpy alone, the front ODE integrator included
+    code = "; ".join([
+        "import sys, radialsw.cli, radialsw.sw_ode as so",
+        "scipy = lambda: any(m.startswith('scipy') for m in sys.modules)",
+        "on_import = scipy()",
+        "ivp = so.FrontIVP(0.0, 1.0, None, 0.0, "
+        "lambda t, xi: (1 / xi, 1.0, 1 / xi, -1.0), 2)",
+        "so.integrate_front(ivp, 0.999)(0.5)",
+        "sys.exit(on_import or scipy())"])
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
         __file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,13 +1,15 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import radialsw.exact_riemann as xr
 import radialsw.sw_ode as so
 from radialsw.core import (
-    DomainError, PseudoRiemannData, SingularStartError,
+    DomainError, PseudoRiemannData, RadialSWError, SingularStartError,
     SingularTrajectoryError, kappa_fluxes,
 )
 
@@ -300,3 +302,157 @@ def test_integrated_speed_stays_on_root(d):
     traj = so.integrate_front(ivp, horizon, tol=1e-10, atol=1e-12)
     drift = np.max(np.abs(traj.speed - v0))
     assert drift <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the in-module DOP853 against scipy's solve_ivp(DOP853)
+
+def scipy_front(ivp, t_end):
+    """integrate_front as scipy's solve_ivp(DOP853) gives it: the same
+    clamped right-hand side, terminal events and off-root check, default
+    tolerances; ivp.sigma0 > 0."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        dsg, dsp = so.front_rhs(t, max(y[0], so._XI_TINY), y[1],
+                                max(y[2], so._SIGMA_FLOOR),
+                                ivp.outer_states, ivp.n)
+        return [y[1], dsp, dsg]
+
+    def hit_origin(t, y):
+        return y[0]
+
+    def sigma_zero(t, y):
+        return y[2]
+
+    for event in (hit_origin, sigma_zero):
+        event.terminal, event.direction = True, -1
+    out = solve_ivp(rhs, (ivp.t0, t_end), [ivp.xi0, ivp.speed0, ivp.sigma0],
+                    method="DOP853", rtol=1e-10, atol=1e-12,
+                    dense_output=True, events=(hit_origin, sigma_zero))
+    if not out.success:
+        raise SingularTrajectoryError(out.message)
+    if out.t_events[1].size:
+        te, (xe, ve, _) = out.t_events[1][0], out.y_events[1][0]
+        states = ivp.outer_states(te, max(xe, so._XI_TINY))
+        if so._off_root(ve, *kappa_fluxes(ve, *states)):
+            raise SingularTrajectoryError("off-root mass exhaustion")
+    return out
+
+
+def shock_case(d):
+    """(ivp, t_end, closed) of a delta-shock front, started from its closed
+    form closed(t) = (xi, sigma) at a small time; an inward front runs past
+    its origin hit for n = 1, and to 0.9 of it for n >= 2, where sigma
+    blows up there."""
+    front = xr._const_front(d)
+    t_hit = d.R / -front.v0 if front.v0 < 0 else math.inf
+    horizon = min((1.5 if d.n == 1 else 0.9) * t_hit,
+                  10.0 * d.R / (d.u_l - d.u_r))
+    t0 = 1e-3 * horizon
+    return (so.FrontIVP(t0, front.xi(t0), front.v0, front.sigma(t0),
+                        power_law_states(d), d.n), horizon,
+            lambda t: (front.xi(t), front.sigma(t)))
+
+
+def drain_case(d, sigma0):
+    """(ivp, t_end, closed) of a front at rest in symmetric outflow
+    (rho_l = rho_r, u_l = -u_r < 0): its strip mass drains to 0 linearly."""
+    k1, _ = kappa_fluxes(0.0, *power_law_states(d)(0.0, d.R))
+    return (so.FrontIVP(0.0, d.R, 0.0, sigma0, power_law_states(d), d.n),
+            3.0 * sigma0 / -k1, lambda t: (d.R + 0.0 * t, sigma0 + k1 * t))
+
+
+@st.composite
+def front_ivps(draw):
+    """shock_case or drain_case data, n = 1..4, decades of R, density and
+    speed."""
+    decade = st.floats(min_value=-2.0, max_value=2.0)
+    n = draw(st.integers(1, 4))
+    R, rho_l, rho_r = (10.0 ** draw(decade) for _ in range(3))
+    u_r = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(decade)
+    if draw(st.booleans()):
+        return shock_case(PseudoRiemannData(
+            n, R, rho_l, rho_r, u_r + 10.0 ** draw(decade), u_r))
+    return drain_case(PseudoRiemannData(n, R, rho_l, rho_l, -abs(u_r),
+                                        abs(u_r)), 10.0 ** draw(decade) * R)
+
+
+@given(front_ivps())
+@example(shock_case(PseudoRiemannData(1, 2.0, 3.0, 0.5, 0.5, -4.0)))
+@example(drain_case(PseudoRiemannData(3, 0.5, 2.0, 2.0, -3.0, 3.0), 0.1))
+@settings(max_examples=40, deadline=None)
+def test_matches_scipy_dop853(case):
+    ivp, t_end, closed = case
+    outcomes = []
+    for integrate in (so.integrate_front, scipy_front):
+        try:
+            outcomes.append(integrate(ivp, t_end))
+        except RadialSWError as exc:
+            outcomes.append(exc)
+    ours, ref = outcomes
+    raised = [isinstance(out, Exception) for out in outcomes]
+    assert raised[0] == raised[1], outcomes
+    if raised[0]:
+        return
+    assert ours.reached_origin == bool(ref.t_events[0].size)
+    assert ours.t_end == pytest.approx(ref.t[-1], rel=1e-9)
+    n = ivp.n
+    # the common end is left out: at an origin hit with n >= 2 the front
+    # mass sigma xi^(n-1) is inf * 0 there
+    grid = np.linspace(ivp.t0, min(ours.t_end, ref.t[-1]), 33)[:-1]
+    xi, _, sigma = ours(grid)
+    xi_ref, _, sigma_ref = ref.sol(grid)
+    xi_cf, sigma_cf = closed(grid)
+    mass, mass_ref = sigma * xi ** (n - 1), sigma_ref * xi_ref ** (n - 1)
+    mass_cf = sigma_cf * xi_cf ** (n - 1)
+    xi_scale = max(float(np.max(np.abs(xi_ref))), ivp.xi0)
+    assert np.max(np.abs(xi - xi_ref)) <= 1e-8 * xi_scale
+    # two runs of one method agree to 1e-8, or to the global error of the
+    # reference where that is larger: rounding-level differences in the
+    # error estimate move the step sequence
+    m_scale = np.max(np.abs(mass_ref))
+    ref_err = np.max(np.abs(mass_ref - mass_cf))
+    assert np.max(np.abs(mass - mass_ref)) <= 1e-8 * m_scale + 10 * ref_err
+
+
+def test_counters_match_right_hand_side_calls():
+    # the post-absorption front of the worked datum: its early steps reject
+    calls = []
+
+    def states(t, xi):
+        calls.append(t)
+        return 0.0, 0.0, 1.0 / xi, -1.0
+
+    ivp = so.FrontIVP(1.0, 1.0, 0.0, CONST_FRONT.sigma(1.0), states, 2)
+    traj = so.integrate_front(ivp, 3.85)
+    steps = traj.t.size - 1
+    assert traj.rejected > 0
+    # the first-step guess takes 2 evaluations, each attempted step 12
+    assert traj.nfev == len(calls) == 2 + 12 * (steps + traj.rejected)
+    traj(2.0)   # builds the interpolant: 3 more per step
+    assert traj.nfev == len(calls) == 2 + 12 * (steps + traj.rejected) + 3 * steps
+    traj(3.0)
+    assert traj.nfev == len(calls)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's front ODE check (perfbench/workloads.py, read only)
+
+def test_benchmark_front_ode_check_holds():
+    # the benchmark's bounds are ODE_XI_RTOL = 1e-7, ODE_SIGMA_RTOL = 1e-6
+    # and ODE_RESIDUAL_RTOL = 1e-10; these items reach xi_err 2.9e-11 and
+    # sigma_err 5.0e-9 (7.4e-10 and 1.5e-7 over j < 5000 of seeds 1..10,
+    # as with scipy's solve_ivp)
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", path / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in (1, 2, 3):
+        for j in range(40):
+            extra = workloads.front_ode_check(
+                workloads.make_verify_item(seed, j))
+            assert extra["xi_err"] <= 1e-9, (seed, j, extra)
+            assert extra["sigma_err"] <= 1e-7, (seed, j, extra)
+            assert extra["residual"] <= 1e-10, (seed, j, extra)
