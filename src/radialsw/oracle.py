@@ -74,6 +74,10 @@ class ParticleSystem:
     first, at the mean of its members' crossing times -a/u weighted by their
     inward momentum -m u; so the deposits are the pooled blocks of those
     times, one (time, mass) in absorptions each.
+
+    run_until compacts the surviving rows in place.  Deposits are stored
+    as (times, masses) arrays, one pair per snapshot; absorptions is a list
+    computed from them when read, so appending to it changes nothing.
     """
 
     def __init__(self, n: int, positions, masses, velocities, time: float = 0.0):
@@ -91,12 +95,20 @@ class ParticleSystem:
             keep = masses > 0
             positions, masses, velocities = (positions[keep], masses[keep],
                                              velocities[keep])
+        if not math.isfinite(time):
+            raise DomainError("time must be finite")
         self.n, self.time, self.m0 = n, float(time), 0.0
-        self.absorptions: list = []  # (time, mass) per origin deposit
+        self._deposits: list = []  # (times, masses) arrays per snapshot
         self._a = positions - velocities * self.time
         self._u, self._m = velocities.copy(), masses.copy()
 
     # -- queries ----------------------------------------------------------
+
+    @property
+    def absorptions(self) -> list:
+        """(time, mass) per origin deposit, a new list on each read."""
+        return [tm for ts, ms in self._deposits
+                for tm in zip(ts.tolist(), ms.tolist())]
 
     @property
     def alive_count(self) -> int:
@@ -120,8 +132,8 @@ class ParticleSystem:
     # -- evolution --------------------------------------------------------
 
     def run_until(self, t_end: float) -> "ParticleSystem":
-        if t_end < self.time - GROUP_TOL:
-            raise DomainError("cannot run backwards")
+        if not (math.isfinite(t_end) and t_end >= self.time - GROUP_TOL):
+            raise DomainError("time must be finite and not run backwards")
         t0, t = self.time, max(self.time, float(t_end))
         self.time = t
         a, u, m = self._a, self._u, self._m
@@ -141,20 +153,30 @@ class ParticleSystem:
             deposits = _pool(memoryview(ts), *mua,
                              np.flatnonzero(ts[1:] <= ts[:-1]).tolist(),
                              lambda M, P, Q: Q / -P if P < 0.0 else math.inf)
-            ms, keep = m[:K].copy(), np.ones(K, dtype=bool)
-            for lo, hi, M, _, _, V in deposits:
-                ts[lo], ms[lo], keep[lo + 1:hi + 1] = V, M, False
-            ms = ms[keep].tolist()
-            self.absorptions += zip(np.clip(ts[keep], t0, t).tolist(), ms)
-            for mi in ms:
-                self.m0 += mi
-        keep = np.ones(y.size, dtype=bool)
-        keep[:K] = False
+            ms = m[:K].copy()
+            if deposits:
+                keep = np.ones(K, dtype=bool)
+                for lo, hi, M, _, _, V in deposits:
+                    ts[lo], ms[lo], keep[lo + 1:hi + 1] = V, M, False
+                ts, ms = ts[keep], ms[keep]
+            self._deposits.append((np.clip(ts, t0, t), ms))
+            # in deposit order, one addition at a time, as m0 += mi would
+            self.m0 = float(np.add.accumulate(np.concatenate(([self.m0], ms)))[-1])
+        # every block lies wholly in the first K rows or wholly after them:
+        # write each later block's merged row at lo and move the survivors
+        # down over its rows lo+1..hi; the first K rows drop off the view
+        w = src = K
         for lo, hi, M, P, Q, _ in blocks:
             if lo >= K:
-                keep[lo + 1:hi + 1] = False
                 a[lo], u[lo], m[lo] = Q / M, P / M, M
-        self._a, self._u, self._m = a[keep], u[keep], m[keep]
+                if w < src:
+                    for x in (a, u, m):
+                        x[w:w + lo + 1 - src] = x[src:lo + 1]
+                w, src = w + lo + 1 - src, hi + 1
+        if w < src:
+            for x in (a, u, m):
+                x[w:w + y.size - src] = x[src:]
+        self._a, self._u, self._m = (x[K:w + y.size - src] for x in (a, u, m))
         return self
 
 
@@ -188,24 +210,27 @@ def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:
     return ParticleSystem(data.n, pos, mas, vel)
 
 
-def front_extract(ps: ParticleSystem) -> Optional[Tuple[float, float]]:
+def front_extract(ps: ParticleSystem, total: Optional[float] = None
+                  ) -> Optional[Tuple[float, float]]:
     """Position and mass of the largest merged cluster, or None while no
-    cluster holds more than CLUSTER_FRACTION of the conserved total."""
+    cluster holds more than CLUSTER_FRACTION of the conserved total
+    (ps.total_mass() + ps.m0, unless the caller has it already)."""
     masses = ps._m
     if masses.size == 0:
         return None
     k = int(np.argmax(masses))
-    if masses[k] <= CLUSTER_FRACTION * (ps.total_mass() + ps.m0):
+    if masses[k] <= CLUSTER_FRACTION * (
+            ps.total_mass() + ps.m0 if total is None else total):
         return None
     return float(ps._a[k] + ps._u[k] * ps.time), float(masses[k])
 
 
 def largest_absorption_time(ps: ParticleSystem) -> Optional[float]:
     """Time of the single heaviest origin deposit so far, if any."""
-    if not ps.absorptions:
+    if not ps._deposits:
         return None
-    t, _ = max(ps.absorptions, key=lambda tm: tm[1])
-    return t
+    ts, ms = (np.concatenate(x) for x in zip(*ps._deposits))
+    return float(ts[np.argmax(ms)])  # the first of equal masses, as max()
 
 
 def compare(plan: WavePlan, ps: ParticleSystem, t: float, r_max: float) -> dict:
@@ -224,7 +249,8 @@ def compare(plan: WavePlan, ps: ParticleSystem, t: float, r_max: float) -> dict:
             pos_exact = front.xi(t)
             mass_exact = S * front.sigma(t) * pos_exact ** (plan.data.n - 1)
             break
-    got = front_extract(ps)
+    Q_oracle = ps.total_mass() + ps.m0
+    got = front_extract(ps, Q_oracle)
     pos_oracle, mass_oracle = got if got is not None else (None, None)
     report = {
         "t": t,
@@ -232,7 +258,7 @@ def compare(plan: WavePlan, ps: ParticleSystem, t: float, r_max: float) -> dict:
         "mass_exact": mass_exact, "mass_oracle": mass_oracle,
         "m0_exact": plan.m0(t), "m0_oracle": ps.m0,
         "Q_exact": verify.conserved_pair(plan, t, r_max).Q,
-        "Q_oracle": ps.total_mass() + ps.m0,
+        "Q_oracle": Q_oracle,
     }
     report["pos_error"] = (abs(pos_oracle - pos_exact)
                            if pos_exact is not None and pos_oracle is not None

@@ -77,6 +77,25 @@ def test_run_until_rejects_backwards():
         ps.run_until(1.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan], ids=["inf", "nan"])
+def test_run_until_rejects_non_finite_time(t):
+    # an infinite time once moved every radius to +-inf or nan (with a
+    # numpy warning) and a nan time was ignored without a word
+    ps = orc.ParticleSystem(1, [1, 2, 3], [1, 1, 1], [1, 0, -1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            ps.run_until(t)
+    assert ps.time == 0.0 and ps.radii().tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "minus_inf", "nan"])
+def test_constructor_rejects_non_finite_time(t):
+    with pytest.raises(DomainError):
+        orc.ParticleSystem(1, [1, 2, 3], [1, 1, 1], [1, 0, -1], time=t)
+
+
 def test_no_absorption_yet_gives_none():
     ps = orc.ParticleSystem(1, [1.0], [1.0], [1.0])
     ps.run_until(3.0)
@@ -547,6 +566,71 @@ def test_meeting_behind_the_origin_changes_nothing():
         stepped.run_until(t)
     assert stepped.absorptions == ps.absorptions
     assert stepped.radii().tolist() == [6.0]
+
+
+def test_m0_adds_deposits_in_order_one_at_a_time():
+    # 20,000 particles at one speed reach the origin one by one, with masses
+    # over six decades: 12,000 in the first run, 8,000 in the second
+    rng = np.random.default_rng(20261019)
+    r = np.arange(1, 20_001) * 1e-3
+    m = 10.0 ** rng.uniform(-3.0, 3.0, r.size)
+    ps = orc.ParticleSystem(1, r, m, np.full(r.size, -1.0))
+    for t, deposited in ((12.0, 12_000), (30.0, 20_000)):
+        ps.run_until(t)
+        masses = [mi for _, mi in ps.absorptions]
+        assert len(masses) == deposited and ps.alive_count == 20_000 - deposited
+        want = 0.0
+        for mi in masses:
+            want += mi
+        assert ps.m0 == want
+    # a pairwise or a compensated sum would give other bits
+    assert float(np.sum(masses)) != want and math.fsum(masses) != want
+
+
+# A step that deposits two rows of equal mass (at t = 0.2 and 0.4) and
+# forms three merged blocks after them, with survivors between the blocks:
+# pairs meeting at t = 0.5 near r = 10.5 and 20.5, and a triple at r = 31
+# at t = 1
+SEVERAL_BLOCKS = ([1.0, 2.0, 10.0, 11.0, 15.0, 20.0, 21.0, 25.0, 30.0, 31.0,
+                   32.0, 40.0],
+                  [2.0, 2.0, 1.0, 3.0, 1.0, 0.5, 1.5, 1.0, 1.0, 1.0, 1.0, 1.0],
+                  [-5.0, -5.0, 1.0, -1.0, 0.0, 1.0, -1.0, 0.0, 1.0, 0.0, -1.0,
+                   0.0])
+
+
+def test_several_blocks_in_one_step_match_heap_event_loop():
+    ps = orc.ParticleSystem(1, *SEVERAL_BLOCKS)
+    ref = HeapParticleSystem(*SEVERAL_BLOCKS)
+    ps.run_until(1.0)
+    ref.run_until(1.0)
+    assert ps.absorptions == [(0.2, 2.0), (0.4, 2.0)]
+    assert ps.masses().tolist() == [4.0, 1.0, 2.0, 1.0, 3.0, 1.0]
+    assert ps.radii().tolist() == [10.25, 15.0, 20.25, 25.0, 31.0, 40.0]
+    _assert_same_state(_observe(ps), _observe(ref))
+    # the first of two equal-mass deposits
+    assert orc.largest_absorption_time(ps) == 0.2
+    for t in (5.0, 40.0):
+        ps.run_until(t)
+        ref.run_until(t)
+        _assert_same_state(_observe(ps), _observe(ref))
+
+
+def test_state_does_not_leak_through_queries():
+    ps = orc.ParticleSystem(1, *SEVERAL_BLOCKS)
+    twin = orc.ParticleSystem(1, *SEVERAL_BLOCKS)
+    for t in (1.0, 5.0, 40.0):
+        ps.run_until(t)
+        twin.run_until(t)
+        deposits = ps.absorptions
+        deposits.append((0.0, 1e9))
+        deposits[0] = (99.0, 99.0)
+        for arr in (ps.masses(), ps.radii(), ps.velocities()):
+            arr[:] = -7.0
+        for got, want in zip(_observe(ps), _observe(twin)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert ps.absorptions == twin.absorptions
+        assert orc.largest_absorption_time(ps) == \
+            orc.largest_absorption_time(twin)
 
 
 # ---------------------------------------------------------------------------
