@@ -116,6 +116,8 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError("bad numeric setting: %s" % exc) from exc
     if oracle_N != tuple(N_list):
         raise ConfigError("oracle N must be integers, got %r" % (N_list,))
+    if not oracle_times or min(oracle_times) < 0:
+        raise ConfigError("oracle times must be a nonempty list of times >= 0")
     if not (0 < t_max < math.inf):
         raise ConfigError("t_max must be positive and finite")
     r_grid = _grid(sample.get("r", {"start": 0.1 * data.R, "stop": 2.0 * data.R, "count": 21}), "r")
@@ -197,13 +199,15 @@ def _sample_text(plan: WavePlan, t_grid, r_grid) -> str:
 
 def _sample_pieces(plan: WavePlan, t_grid, r_grid) -> list:
     """The six pieces of each samples.csv row, row after row.  Each
-    distinct value is formatted once, found by np.unique of its bits so
+    distinct value is formatted once, found by one sort of its bits so
     that -0.0 and 0.0 stay apart."""
     g = exact.evaluate_grid(plan, r_grid, t_grid)
     K, m = g.rho.shape
-    bits, inverse = np.unique(np.concatenate(
-        [r_grid, t_grid, g.m0, g.rho.ravel(), g.u.ravel()]).view(np.int64),
-        return_inverse=True)
+    allbits = np.concatenate(
+        [r_grid, t_grid, g.m0, g.rho.ravel(), g.u.ravel()]).view(np.int64)
+    bits = np.sort(allbits)
+    bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+    inverse = np.searchsorted(bits, allbits)
     text = np.array([_FMT % x for x in bits.view(float).tolist()],
                     dtype=object)[inverse]
     r_text, t_text, m0_text, rho_text, u_text = np.split(
@@ -333,14 +337,16 @@ _COMMANDS = {
 }
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="radialsw",
+    description="Exact solver and checks for radial pressureless flow")
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="scenario JSON path")
+_PARSER.add_argument("--out", default=None, help="output directory override")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="radialsw",
-        description="Exact solver and checks for radial pressureless flow")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="scenario JSON path")
-    parser.add_argument("--out", default=None, help="output directory override")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         sc = load_scenario(args.config)
         out_dir = args.out if args.out is not None else sc.out_dir

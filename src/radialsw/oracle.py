@@ -22,21 +22,25 @@ GROUP_TOL = 1e-12
 CLUSTER_FRACTION = 0.05  # least share of the total mass in a front cluster
 
 
-def _pool(v, m, u, a, hits, value):
+def _pool(v, m, u, a, hits, t=None):
     """Pool adjacent violators of the nondecreasing order of v (memoryviews
     of floats, like m, u and a), growing a block from each k in hits
     (v[k+1] <= v[k], increasing) until it is in order with its neighbours;
-    a tie counts as a violation.  value(M, P, Q) is the value of a block of
-    mass M > 0 from the sums of m, m u and m a.  Returns the blocks (lo, hi,
-    M, P, Q, V) of two or more elements, hi inclusive."""
-    n, blocks = len(v), []
+    a tie counts as a violation.  v holds one trailing nan past the last
+    row, which every comparison finds out of order, so v[hi + 1] and
+    v[lo - 1] (v[-1] is the nan too) need no bounds check.  A block of mass
+    M > 0 with sums P and Q of m u and m a has the value Q / M + P / M * t,
+    its position at time t; with t None, Q / -P if P < 0 else inf, the time
+    its centre of mass crosses r = 0.  Returns the blocks (lo, hi, M, P, Q,
+    V) of two or more elements, hi inclusive."""
+    blocks = []
     for k in hits:
         if blocks and k <= blocks[-1][1]:
             continue
         lo = hi = k
         M, P, Q, V = m[k], m[k] * u[k], m[k] * a[k], v[k]
         while True:
-            if hi + 1 < n and v[hi + 1] <= V:
+            if v[hi + 1] <= V:
                 hi += 1
                 mi = m[hi]
                 M, P, Q = M + mi, P + mi * u[hi], Q + mi * a[hi]
@@ -45,13 +49,16 @@ def _pool(v, m, u, a, hits, value):
                     break
                 lo, _, bM, bP, bQ, _ = blocks.pop()
                 M, P, Q = bM + M, bP + P, bQ + Q
-            elif lo > 0 and v[lo - 1] >= V:
+            elif v[lo - 1] >= V:
                 lo -= 1
                 mi = m[lo]
                 M, P, Q = mi + M, mi * u[lo] + P, mi * a[lo] + Q
             else:
                 break
-            V = value(M, P, Q)
+            if t is None:
+                V = Q / -P if P < 0.0 else math.inf
+            else:
+                V = Q / M + P / M * t
         blocks.append((lo, hi, M, P, Q, V))
     return blocks
 
@@ -87,7 +94,8 @@ class ParticleSystem:
         if positions.ndim != 1 or positions.shape != masses.shape \
                 or positions.shape != velocities.shape:
             raise DomainError("positions, masses, velocities must align")
-        if positions.size and not (positions[0] > 0 and np.all(np.diff(positions) > 0)):
+        if positions.size and not (positions[0] > 0
+                                   and (positions[1:] > positions[:-1]).all()):
             raise DomainError("positions must be > 0 and strictly increasing")
         if np.any(masses < 0):
             raise DomainError("masses must be >= 0")
@@ -99,7 +107,8 @@ class ParticleSystem:
             raise DomainError("time must be finite")
         self.n, self.time, self.m0 = n, float(time), 0.0
         self._deposits: list = []  # (times, masses) arrays per snapshot
-        self._a = positions - velocities * self.time
+        self._a = velocities * -self.time
+        self._a += positions
         self._u, self._m = velocities.copy(), masses.copy()
 
     # -- queries ----------------------------------------------------------
@@ -137,23 +146,27 @@ class ParticleSystem:
         t0, t = self.time, max(self.time, float(t_end))
         self.time = t
         a, u, m = self._a, self._u, self._m
-        y = a + u * t
+        n = m.size
+        v = np.empty(n + 1)
+        v[n] = math.nan  # the sentinel _pool reads past the last row
+        y = np.multiply(u, t, out=v[:n])
+        y += a
         hits = np.flatnonzero(y[1:] <= y[:-1]).tolist()
-        if not hits and not (y.size and y[0] <= 0.0):
+        if not hits and not (n and y[0] <= 0.0):
             return self
         mua = memoryview(m), memoryview(u), memoryview(a)
-        blocks = _pool(memoryview(y), *mua, hits,
-                       lambda M, P, Q: Q / M + P / M * t)
+        blocks = _pool(memoryview(v), *mua, hits, t)
         for lo, hi, _, _, _, V in blocks:
             y[lo:hi + 1] = V
         K = int(np.searchsorted(y, 0.0, side="right"))
         if K:  # the first K rows reached r = 0 during (t0, t]
+            ts = np.empty(K + 1)
+            ts[K] = math.nan
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                ts = np.where(u[:K] < 0.0, -a[:K] / u[:K], math.inf)
+                ts[:K] = np.where(u[:K] < 0.0, -a[:K] / u[:K], math.inf)
             deposits = _pool(memoryview(ts), *mua,
-                             np.flatnonzero(ts[1:] <= ts[:-1]).tolist(),
-                             lambda M, P, Q: Q / -P if P < 0.0 else math.inf)
-            ms = m[:K].copy()
+                             np.flatnonzero(ts[1:K] <= ts[:K - 1]).tolist())
+            ts, ms = ts[:K], m[:K].copy()
             if deposits:
                 keep = np.ones(K, dtype=bool)
                 for lo, hi, M, _, _, V in deposits:
@@ -175,8 +188,8 @@ class ParticleSystem:
                 w, src = w + lo + 1 - src, hi + 1
         if w < src:
             for x in (a, u, m):
-                x[w:w + y.size - src] = x[src:]
-        self._a, self._u, self._m = (x[K:w + y.size - src] for x in (a, u, m))
+                x[w:w + n - src] = x[src:]
+        self._a, self._u, self._m = (x[K:w + n - src] for x in (a, u, m))
         return self
 
 
@@ -196,7 +209,8 @@ def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:
     if edges[k] != data.R:
         edges = np.insert(edges, k, data.R)
     lo, hi = edges[:-1], edges[1:]
-    pos = 0.5 * (lo + hi)
+    pos = lo + hi
+    pos *= 0.5
     mas = hi - lo
     keep = mas > 0.0
     keep[:k] &= data.rho_l > 0.0

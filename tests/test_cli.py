@@ -98,9 +98,12 @@ def test_t_grid_beyond_t_max_exits_2(tmp_path):
     ("sample", {"sample": {"r": {"start": 0.1, "stop": 2.0, "count": -3}}}),
     ("sample", {"sample": {"r": {"start": 0.1, "stop": 2.0, "count": 2.5}}}),
     ("oracle", {"oracle": {"N": [100], "times": [0.5, math.nan]}}),
+    ("oracle", {"oracle": {"N": [10], "times": []}}),
+    ("oracle", {"oracle": {"N": [10], "times": [-0.5]}}),
     ("verify", {"verify": {"r_max": math.nan}}),
 ], ids=["t_below_0", "t_max_inf", "t_nan", "r_nan", "count_negative",
-        "count_fraction", "oracle_time_nan", "verify_r_max_nan"])
+        "count_fraction", "oracle_time_nan", "oracle_times_empty",
+        "oracle_time_below_0", "verify_r_max_nan"])
 def test_out_of_domain_grids_and_times_exit_2(tmp_path, capsys, command,
                                               overrides):
     code, out = run(tmp_path, command, write_config(tmp_path, **overrides))

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import radialsw.exact_riemann as xr
 import radialsw.oracle as orc
@@ -615,6 +615,25 @@ def test_several_blocks_in_one_step_match_heap_event_loop():
         _assert_same_state(_observe(ps), _observe(ref))
 
 
+# Every particle ends in one cluster, built up over several snapshots: a
+# block that spans the first and the last row
+ONE_CLUSTER = ([1.0, 2.0, 4.0, 5.0, 7.0, 8.0], [1.0, 2.0, 1.0, 3.0, 1.0, 1.0],
+               [2.0, 1.0, 0.5, -0.5, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("times", [(0.5, 1.0, 2.0, 3.0, 4.0, 20.0), (20.0,)],
+                         ids=["stepped", "one_step"])
+def test_one_cluster_matches_heap_event_loop(times):
+    ps = orc.ParticleSystem(1, *ONE_CLUSTER)
+    ref = HeapParticleSystem(*ONE_CLUSTER)
+    for t in times:
+        ps.run_until(t)
+        ref.run_until(t)
+        _assert_same_state(_observe(ps), _observe(ref))
+    assert ps.masses().tolist() == [9.0]
+    assert ps.m0 == 0.0 and ps.absorptions == []
+
+
 def test_state_does_not_leak_through_queries():
     ps = orc.ParticleSystem(1, *SEVERAL_BLOCKS)
     twin = orc.ParticleSystem(1, *SEVERAL_BLOCKS)
@@ -631,6 +650,84 @@ def test_state_does_not_leak_through_queries():
         assert ps.absorptions == twin.absorptions
         assert orc.largest_absorption_time(ps) == \
             orc.largest_absorption_time(twin)
+
+
+# ---------------------------------------------------------------------------
+# _pool against the form that preceded the inline block value and the nan
+# sentinel: a value callback, and bounds checks at both ends of v
+
+def _pool_callback(v, m, u, a, hits, value):
+    n, blocks = len(v), []
+    for k in hits:
+        if blocks and k <= blocks[-1][1]:
+            continue
+        lo = hi = k
+        M, P, Q, V = m[k], m[k] * u[k], m[k] * a[k], v[k]
+        while True:
+            if hi + 1 < n and v[hi + 1] <= V:
+                hi += 1
+                mi = m[hi]
+                M, P, Q = M + mi, P + mi * u[hi], Q + mi * a[hi]
+            elif blocks and blocks[-1][1] == lo - 1:
+                if blocks[-1][5] < V:
+                    break
+                lo, _, bM, bP, bQ, _ = blocks.pop()
+                M, P, Q = bM + M, bP + P, bQ + Q
+            elif lo > 0 and v[lo - 1] >= V:
+                lo -= 1
+                mi = m[lo]
+                M, P, Q = mi + M, mi * u[lo] + P, mi * a[lo] + Q
+            else:
+                break
+            V = value(M, P, Q)
+        blocks.append((lo, hi, M, P, Q, V))
+    return blocks
+
+
+@st.composite
+def pool_rows(draw):
+    """(a, u, m, t) of 1..12 rows: small integers, which tie often, or
+    floats; t None (deposit times) or a snapshot time."""
+    size = draw(st.integers(min_value=1, max_value=12))
+
+    def column(elements):
+        return np.asarray(draw(st.lists(elements, min_size=size,
+                                        max_size=size)), dtype=float)
+
+    if draw(st.booleans()):
+        a, u, m = (column(st.integers(lo, hi))
+                   for lo, hi in ((-3, 3), (-3, 3), (1, 3)))
+    else:
+        a = column(st.floats(min_value=-10.0, max_value=10.0))
+        u = column(st.floats(min_value=-3.0, max_value=3.0))
+        m = column(st.floats(min_value=0.01, max_value=5.0))
+    t = draw(st.none() | st.sampled_from([0.0, 0.5, 2.0])
+             | st.floats(min_value=0.0, max_value=8.0))
+    return a, u, m, t
+
+
+# with u = 0 at t = 0, and with u = -1 as deposit times, v = a: the second
+# block pools to the first one's value (a tie) or below it and merges into
+# it, and [1, 1, 1] is one tie across every row
+@example((np.array([2.0, 1.0, 3.0, 0.0]), np.zeros(4), np.ones(4), 0.0))
+@example((np.array([2.0, 1.0, 3.0, -1.0]), np.full(4, -1.0), np.ones(4), None))
+@example((np.ones(3), np.zeros(3), np.array([1.0, 2.0, 3.0]), 0.0))
+@given(pool_rows())
+@settings(max_examples=300, deadline=None)
+def test_pool_matches_callback_form_bitwise(rows):
+    a, u, m, t = rows
+    if t is None:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v = np.where(u < 0.0, -a / u, math.inf)
+        value = lambda M, P, Q: Q / -P if P < 0.0 else math.inf  # noqa: E731
+    else:
+        v = a + u * t
+        value = lambda M, P, Q: Q / M + P / M * t  # noqa: E731
+    hits = np.flatnonzero(v[1:] <= v[:-1]).tolist()
+    mua = memoryview(m), memoryview(u), memoryview(a)
+    want = _pool_callback(memoryview(v), *mua, hits, value)
+    got = orc._pool(memoryview(np.append(v, math.nan)), *mua, hits, t)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Smoke test: every script in scripts/ runs to completion on tiny inputs."""
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -60,3 +61,30 @@ def test_output_digests_subset(tmp_path):
         assert len(record[name]) == 64
         if own:
             assert record["check"] in ("", "ladder_gate"), (key, record)
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def line(throughput, p50):
+        return "oracle_ladder seed=13 runs=2000\n" + json.dumps({
+            "correct": True, "attempted": 2000, "failed": 0, "metrics": {
+                "throughput_items_per_s": {"value": throughput, "unit": "1/s"},
+                "latency_p50_ms": {"value": p50, "unit": "ms"}}}) + "\n"
+
+    parent = [bench_pairs.last_json(line(x, 4.0))
+              for x in (180.0, 184.0, 186.0, 188.0, 190.0)]
+    change = [bench_pairs.last_json(line(x, y)) for x, y in (
+        (200.0, 3.5), (205.0, 4.0), (170.0, 4.5), (210.0, 3.7), (208.0, 3.9))]
+    rows = bench_pairs.summarize(parent, change, [
+        {"name": "throughput_items_per_s", "better": "higher"},
+        {"name": "latency_p50_ms", "better": "lower"}]).splitlines()
+    assert rows[1].split() == ["throughput_items_per_s", "higher",
+                               "186", "[184,", "188]", "205", "[200,", "208]",
+                               "4/5", "yes"]
+    # a tie (4.0 on both sides) counts for neither side
+    assert rows[2].split() == ["latency_p50_ms", "lower", "4", "[4,", "4]",
+                               "3.9", "[3.7,", "4]", "3/5", "yes"]
