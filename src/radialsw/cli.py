@@ -33,10 +33,17 @@ def _fmt(x) -> str:
     return "" if x is None else _FMT % float(x)
 
 
-def _write(out_dir: str, name: str, text: str) -> None:
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write(text)
+def _write(out_dir: str, name: str, *texts: str) -> None:
+    """Every output file: its ASCII texts in turn, each encoded once and
+    written in binary mode."""
+    with open(os.path.join(out_dir, name), "wb") as fh:
+        for text in texts:
+            fh.write(text.encode("ascii"))
+
+
+def _texts(values) -> list:
+    """_FMT % x + "," for each float x of values, from one % operation."""
+    return ((_FMT + ",\n") * len(values) % tuple(values)).split("\n")[:-1]
 
 
 @dataclass
@@ -103,15 +110,18 @@ def load_scenario(path: str) -> Scenario:
     ver, orc, sample = (raw.get(k, {}) for k in ("verify", "oracle", "sample"))
     if not all(isinstance(sec, dict) for sec in (ver, orc, sample)):
         raise ConfigError("verify, oracle and sample sections must be objects")
-    N_list = orc.get("N", [1000])
+    N_list, times = orc.get("N", [1000]), orc.get("times", [0.5, 2.0, 3.9])
+    expected_fail = ver.get("expected_fail", [])
     if not isinstance(N_list, list) or not N_list:
         raise ConfigError("oracle N must be a nonempty list")
+    if not (isinstance(times, list) and isinstance(expected_fail, list)):
+        raise ConfigError("oracle times and expected_fail must be lists")
     try:
         t_max = float(raw.get("t_max", 5.0))
         verify_r_max = float(ver.get("r_max", 10.0 * data.R))
         oracle_N = tuple(int(N) for N in N_list)
         oracle_r_max = float(orc.get("r_max", 5.3 * data.R))
-        oracle_times = tuple(float(t) for t in orc.get("times", (0.5, 2.0, 3.9)))
+        oracle_times = tuple(float(t) for t in times)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("bad numeric setting: %s" % exc) from exc
     if oracle_N != tuple(N_list):
@@ -131,7 +141,7 @@ def load_scenario(path: str) -> Scenario:
         verify_weak_ladder=bool(ver.get("weak_ladder", True)),
         verify_example64=bool(ver.get("example64", False)),
         verify_r_max=verify_r_max,
-        expected_fail=tuple(ver.get("expected_fail", ())),
+        expected_fail=tuple(expected_fail),
         oracle_N=oracle_N, oracle_r_max=oracle_r_max,
         oracle_times=oracle_times, out_dir=str(raw.get("out", ".")),
     )
@@ -198,9 +208,10 @@ def _sample_text(plan: WavePlan, t_grid, r_grid) -> str:
 
 
 def _sample_pieces(plan: WavePlan, t_grid, r_grid) -> list:
-    """The six pieces of each samples.csv row, row after row.  Each
-    distinct value is formatted once, found by one sort of its bits so
-    that -0.0 and 0.0 stay apart."""
+    """The five pieces of each samples.csv row, row after row: "r," "t,"
+    "rho," "u," and the tail "is_vacuum,m0,atom fields\n".  Each
+    distinct value is formatted once with its comma by one _texts call,
+    found by one sort of its bits so that -0.0 and 0.0 stay apart."""
     g = exact.evaluate_grid(plan, r_grid, t_grid)
     K, m = g.rho.shape
     allbits = np.concatenate(
@@ -208,23 +219,21 @@ def _sample_pieces(plan: WavePlan, t_grid, r_grid) -> list:
     bits = np.sort(allbits)
     bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
     inverse = np.searchsorted(bits, allbits)
-    text = np.array([_FMT % x for x in bits.view(float).tolist()],
-                    dtype=object)[inverse]
+    text = np.array(_texts(bits.view(float).tolist()), dtype=object)[inverse]
     r_text, t_text, m0_text, rho_text, u_text = np.split(
         text, [m, m + K, m + 2 * K, m + 2 * K + K * m])
-    rows = np.empty((K, m, 6), dtype=object)
+    rows = np.empty((K, m, 5), dtype=object)
     rows[..., 0] = r_text
-    rows[..., 1] = ("," + t_text + ",")[:, None]
+    rows[..., 1] = t_text[:, None]
     rows[..., 2] = rho_text.reshape(K, m)
-    rows[..., 3] = ","
-    rows[..., 4] = u_text.reshape(K, m)
-    rows[..., 5] = np.where(g.is_vacuum, (",1," + m0_text + ",,,\n")[:, None],
-                            (",0," + m0_text + ",,,\n")[:, None])
+    rows[..., 3] = u_text.reshape(K, m)
+    rows[..., 4] = np.where(g.is_vacuum, ("1," + m0_text + ",,\n")[:, None],
+                            ("0," + m0_text + ",,\n")[:, None])
     for k, atoms in enumerate(g.atoms):
         if atoms.count(None) < m:
             for j, a in enumerate(atoms):
                 if a is not None:
-                    rows[k, j, 5] = ",%d,%s,%s,%s,%s\n" % (
+                    rows[k, j, 4] = "%d,%s%s,%s,%s\n" % (
                         g.is_vacuum[k, j], m0_text[k], _fmt(a.radius),
                         _fmt(a.sigma), _fmt(a.total_mass))
     return rows.ravel().tolist()
@@ -233,8 +242,8 @@ def _sample_pieces(plan: WavePlan, t_grid, r_grid) -> list:
 def cmd_sample(sc: Scenario, out_dir: str) -> int:
     plan = exact.solve(sc.data, sc.t_max)
     _write(out_dir, "samples.csv",
-           "r,t,rho,u,is_vacuum,m0,atom_radius,atom_sigma,atom_total_mass\n"
-           + _sample_text(plan, sc.t_grid, sc.r_grid))
+           "r,t,rho,u,is_vacuum,m0,atom_radius,atom_sigma,atom_total_mass\n",
+           _sample_text(plan, sc.t_grid, sc.r_grid))
     return 0
 
 

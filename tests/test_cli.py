@@ -11,7 +11,7 @@ from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import radialsw.cli as cli
 import radialsw.exact_riemann as exact
@@ -166,6 +166,20 @@ def test_nan_data_exits_2_without_plan(tmp_path, capsys, field):
 def test_unknown_expected_fail_exits_2(tmp_path):
     cfg = write_config(tmp_path, verify={"expected_fail": ["everything"]})
     assert run(tmp_path, "verify", cfg)[0] == 2
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("oracle", {"oracle": {"N": [10], "times": "12"}}),
+    ("verify", {"verify": {"expected_fail": ""}}),
+], ids=["oracle_times_string", "expected_fail_string"])
+def test_non_list_times_or_expected_fail_exits_2(tmp_path, capsys, command,
+                                                  overrides):
+    # a string would be read one character at a time: oracle rows at
+    # t = 1 and t = 2, or no expected failure at all
+    code, out = run(tmp_path, command, write_config(tmp_path, **overrides))
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_unknown_command_rejected(tmp_path):
@@ -357,6 +371,22 @@ def per_time_sample_text(plan, t_grid, r_grid):
 def test_sample_text_matches_per_time_reference(sample):
     plan, r, t = sample
     assert cli._sample_text(plan, t, r) == per_time_sample_text(plan, t, r)
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               1e308, -1e308]
+
+
+# Deduplicating on float values instead of bits (so that -0.0 and 0.0
+# share one text) keeps this test passing but fails the
+# contact_signed_zero_n3 golden digest above.
+@given(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+                max_size=40))
+@example(EDGE_FLOATS)
+@settings(max_examples=200, deadline=None)
+def test_batched_texts_equal_one_format_per_value(values):
+    values = values + values[::2]  # repeated values
+    assert cli._texts(values) == [cli._FMT % x + "," for x in values]
 
 
 def test_subnormal_radius_samples_inf_density(tmp_path):
@@ -622,14 +652,31 @@ def test_cli_import_leaves_scipy_unloaded():
 # ---------------------------------------------------------------------------
 # determinism
 
-def test_reruns_are_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, sample={"r": [0.3, 1.0, 1.7], "t": [0.0, 0.5, 2.0]})
+def test_reruns_are_byte_identical(tmp_path, monkeypatch):
+    # every command writes each of its files through cli._write: the file
+    # holds exactly the text the command built, ASCII with no "\r", and a
+    # rerun writes the same bytes
+    built, write = {}, cli._write
+
+    def recording_write(out_dir, name, *texts):
+        built[name] = "".join(texts)
+        write(out_dir, name, *texts)
+
+    monkeypatch.setattr(cli, "_write", recording_write)
+    cfg = write_config(tmp_path, sample={"r": [0.3, 1.0, 1.7], "t": [0.0, 0.5, 2.0]},
+                       oracle={"N": [100], "times": [0.5, 2.0]})
     blobs = {}
     for subdir in ("a", "b"):
-        for command, fname in (("solve", "plan.txt"), ("sample", "samples.csv"),
-                               ("verify", "verify.txt")):
-            code, out = run(tmp_path, command, cfg, subdir=subdir)
+        for command in ("solve", "sample", "verify", "oracle", "example64"):
+            built.clear()
+            code, out = run(tmp_path, command, cfg, subdir=subdir + command)
             assert code == 0
-            blobs.setdefault(fname, []).append((out / fname).read_bytes())
+            assert sorted(os.listdir(out)) == sorted(built)
+            for fname, text in built.items():
+                data = (out / fname).read_bytes()
+                assert data == text.encode("ascii") and b"\r" not in data
+                blobs.setdefault(fname, []).append(data)
+    assert sorted(blobs) == ["example64.csv", "example64.txt", "oracle.csv",
+                             "plan.txt", "samples.csv", "verify.txt"]
     for fname, (first, second) in blobs.items():
         assert first == second, fname
