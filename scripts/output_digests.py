@@ -12,8 +12,11 @@ that is 1,848 output files.  It writes one JSON object mapping each run
 stdout and of each file it wrote.  The run of the item's own command also
 records, under "check", the outcome of the workload's benchmark check:
 "" (right), "ladder_gate" (right, and the weak ladder reports an order
-below its gate) or the reason the output is wrong.  Run it on two trees,
-each with its own copy of this script, and compare the two JSON files:
+below its gate) or the reason the output is wrong.  A verify item's run
+records under "ode" the figures of its front ODE check (`xi_err`,
+`sigma_err` and `residual`, as float.hex), so that a change to the front
+ODE is compared bit for bit.  Run it on two trees, each with its own copy
+of this script, and compare the two JSON files:
 
     python scripts/output_digests.py digests.json
     python scripts/output_digests.py small.json --limit 2
@@ -49,7 +52,7 @@ def _sha256(data: bytes) -> str:
 
 def run_item(scenario: dict, command: str, work_dir: str, check=None) -> dict:
     """Exit code and digests of stdout and every output file of one run,
-    and check(rc, stdout, out_dir) under "check" when given."""
+    and the entries check(rc, stdout, out_dir) gives when given."""
     config = os.path.join(work_dir, "scenario.json")
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(scenario, fh)
@@ -62,22 +65,27 @@ def run_item(scenario: dict, command: str, work_dir: str, check=None) -> dict:
         with open(os.path.join(out, name), "rb") as fh:
             record[name] = _sha256(fh.read())
     if check is not None:
-        try:
-            record["check"] = check(rc, buf.getvalue(), out)
-        except Exception as exc:  # recorded as the item's failure reason
-            record["check"] = "raised_%s: %s" % (type(exc).__name__, exc)
+        record.update(check(rc, buf.getvalue(), out))
     return record
 
 
 def item_check(workload: str, item: dict, reference):
-    """check(rc, stdout, out_dir) of the workload's benchmark check on one
-    item, with the front ODE check of a verify item as its extra input."""
+    """check(rc, stdout, out_dir) giving the outcome of the workload's
+    benchmark check on one item under "check" and, for a verify item, the
+    figures of the front ODE check (the benchmark check's extra input)
+    under "ode"."""
     check = workloads.WORKLOADS[workload][1]
 
     def run_check(rc, stdout, out):
-        extra = (workloads.front_ode_check(item)
-                 if workload == "verify_ladder" else None)
-        return check(item, rc, stdout, out, extra, reference)
+        entries, extra = {}, None
+        try:
+            if workload == "verify_ladder":
+                extra = workloads.front_ode_check(item)
+                entries["ode"] = {k: float(v).hex() for k, v in extra.items()}
+            entries["check"] = check(item, rc, stdout, out, extra, reference)
+        except Exception as exc:  # recorded as the item's failure reason
+            entries["check"] = "raised_%s: %s" % (type(exc).__name__, exc)
+        return entries
     return run_check
 
 
@@ -99,7 +107,8 @@ def main():
                                  if command == item["command"] else None)
                         record = run_item(item["scenario"], command, work_dir,
                                           check)
-                        files += len(record) - 2 - ("check" in record)
+                        files += len(set(record) - {"exit", "stdout",
+                                                    "check", "ode"})
                         digests["%s/%s/%d/%s" % (workload, seed, j,
                                                  command)] = record
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -130,16 +130,20 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError("oracle times must be a nonempty list of times >= 0")
     if not (0 < t_max < math.inf):
         raise ConfigError("t_max must be positive and finite")
+    flags = {k: ver.get(k, k != "example64")
+             for k in ("conservation", "entropy", "weak_ladder", "example64")}
+    if not all(isinstance(v, bool) for v in flags.values()):
+        raise ConfigError("verify %s must be true or false" % ", ".join(flags))
     r_grid = _grid(sample.get("r", {"start": 0.1 * data.R, "stop": 2.0 * data.R, "count": 21}), "r")
     t_grid = _grid(sample.get("t", {"start": 0.0, "stop": t_max, "count": 11}), "t")
     if t_grid[0] < 0 or t_grid[-1] > t_max:
         raise ConfigError("t grid must lie in [0, t_max]")
     sc = Scenario(
         data=data, t_max=t_max, r_grid=r_grid, t_grid=t_grid,
-        verify_conservation=bool(ver.get("conservation", True)),
-        verify_entropy=bool(ver.get("entropy", True)),
-        verify_weak_ladder=bool(ver.get("weak_ladder", True)),
-        verify_example64=bool(ver.get("example64", False)),
+        verify_conservation=flags["conservation"],
+        verify_entropy=flags["entropy"],
+        verify_weak_ladder=flags["weak_ladder"],
+        verify_example64=flags["example64"],
         verify_r_max=verify_r_max,
         expected_fail=tuple(expected_fail),
         oracle_N=oracle_N, oracle_r_max=oracle_r_max,

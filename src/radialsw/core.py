@@ -236,15 +236,16 @@ class Phase:
     def p0(self, t):
         return self.p0_start + self.p0_slope * (t - self.t_start)
 
-    def region_index(self, r, t):
+    def region_index(self, r, t, xs=None):
         """Index into regions of the region holding radius r at time t: the
         number of fronts with xi(t) <= r, so a front belongs to its outer
         side.  Counting, unlike a sorted search, tolerates fronts out of
         order by rounding.  r and t are floats or arrays that broadcast;
-        the result is an int array of their shape (0-d for floats)."""
+        the result is an int array of their shape (0-d for floats).  xs,
+        when given, holds each front's xi(t), evaluated beforehand."""
         idx = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(t)), dtype=int)
-        for f in self.fronts:
-            idx += f.xi(t) <= r
+        for x in (f.xi(t) for f in self.fronts) if xs is None else xs:
+            idx += x <= r
         return idx
 
 
@@ -333,5 +334,8 @@ def jump_brackets(rho0: float, u0: float, rho1: float, u1: float):
 def kappa_fluxes(cdot: float, rho0: float, u0: float, rho1: float, u1: float):
     """Net mass and momentum fluxes into a front moving at speed cdot:
     kappa1 = cdot [rho] - [rho u], kappa2 = cdot [rho u] - [rho u^2]."""
-    br, bru, bru2, _ = jump_brackets(rho0, u0, rho1, u1)
-    return cdot * br - bru, cdot * bru - bru2
+    if rho0 < 0 or rho1 < 0:
+        raise DomainError("densities must be >= 0")
+    bru = rho1 * u1 - rho0 * u0
+    return (cdot * (rho1 - rho0) - bru,
+            cdot * bru - (rho1 * u1 ** 2 - rho0 * u0 ** 2))

@@ -24,8 +24,8 @@ from .exact_riemann import PostAbsorptionSW
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # time panels per numpy pass of the weak quadrature: bounds the arrays of a
-# pass (under 1 MB on the verify_ladder items, 2.6 MB over whole phases)
-_PANELS_PER_PASS = 8
+# pass (2.6 MB over whole phases of the verify_ladder items)
+_PANELS_PER_PASS = 16
 
 QUAD_TOL = 1e-10           # absolute quadrature target per residual
 ORDER_FIT_FLOOR = 10 * QUAD_TOL
@@ -180,14 +180,13 @@ class TestFunction:
 
     def jet(self, r, t):
         """(phi, phi_r, phi_t) at (r, t), from one pass over the box
-        coordinates X, T and the support mask."""
-        X = (np.asarray(r) - self.r_c) / self.h_r
-        T = (np.asarray(t) - self.t_c) / self.h_t
-        inside = (np.abs(X) < 1.0) & (np.abs(T) < 1.0)
+        coordinates X, T clipped to [-1, 1], where all three vanish (as
+        zeros of either sign)."""
+        X = np.clip((np.asarray(r) - self.r_c) / self.h_r, -1.0, 1.0)
+        T = np.clip((np.asarray(t) - self.t_c) / self.h_t, -1.0, 1.0)
         bx, bt = 1 - X ** 2, 1 - T ** 2
-        return (np.where(inside, (bx * bt) ** 4, 0.0),
-                np.where(inside, -8.0 * X * bx ** 3 * bt ** 4 / self.h_r, 0.0),
-                np.where(inside, -8.0 * T * bt ** 3 * bx ** 4 / self.h_t, 0.0))
+        return ((bx * bt) ** 4, -8.0 * X * bx ** 3 * bt ** 4 / self.h_r,
+                -8.0 * T * bt ** 3 * bx ** 4 / self.h_t)
 
     def value(self, r, t):
         return self.jet(r, t)[0]
@@ -211,11 +210,19 @@ def _edges(front, eps):
     return (-0.5 * eps, 0.5 * eps) if front.kind == SHADOW_WAVE else (0.0,)
 
 
-def _strip_profile(ph, eps, r, t):
+def _front_paths(ph, t):
+    """Each front's (xi, speed, sigma) in phase ph at times t; speed and
+    sigma only for a shadow wave (None otherwise), whose strip reads them."""
+    return [(f.xi(t), *((f.speed(t), f.sigma(t)) if f.kind == SHADOW_WAVE
+                        else (None, None))) for f in ph.fronts]
+
+
+def _strip_profile(ph, eps, r, t, paths):
     """The one strip rule of the eps-realized family in phase ph, as arrays
     (c, u, strip) at radii r (an array) and times t (a float, or an array
-    broadcasting with r, all in ph); eps is a float or an array
-    broadcasting with them (one strip width per row).  Inside a strip
+    broadcasting with r, all in ph), where the fronts' paths are
+    _front_paths(ph, t); eps is a float or an array broadcasting with
+    them (one strip width per row).  Inside a strip
     [xi - eps/2, xi + eps/2] (ends included; where strips overlap, the
     innermost front's) strip is True, c = sigma/eps is the density and u
     the front speed; elsewhere c is the region's coefficient (density
@@ -224,15 +231,14 @@ def _strip_profile(ph, eps, r, t):
         raise DomainError("times span more than one phase")
     live = [(0.0, 0.0) if p.is_vacuum else (p.coeff, p.velocity)
             for p in ph.regions]
-    c, u = np.array(live).T[:, ph.region_index(r, t)]
+    c, u = np.array(live).T[:, ph.region_index(r, t, [x for x, _, _ in paths])]
     strip = np.zeros(c.shape, dtype=bool)
     h = 0.5 * eps
-    for f in reversed(ph.fronts):
+    for f, (x, speed, sigma) in zip(reversed(ph.fronts), reversed(paths)):
         if f.kind == SHADOW_WAVE:
-            x = f.xi(t)
             hit = (x - h <= r) & (r <= x + h)
-            c = np.where(hit, f.sigma(t) / eps, c)
-            u = np.where(hit, f.speed(t), u)
+            c = np.where(hit, sigma / eps, c)
+            u = np.where(hit, speed, u)
             strip |= hit
     return c, u, strip
 
@@ -276,14 +282,8 @@ def _weak_integrals(plan: WavePlan, phi: TestFunction, ladder, powers):
 
     A rung adds up, in time order, a 16-node Gauss-Legendre rule in t over
     each panel between its _time_breakpoints.  The panels of all rungs in
-    one phase go through numpy passes of _PANELS_PER_PASS panels.  Row
-    (panel, k) of a pass is time node k of a panel; its r panels run
-    between phi's support edges and the family's discontinuities clipped
-    to the support (empty ones drop out), and _strip_profile, with each
-    panel's eps, decides them at their midpoints.  Every power reuses the
-    cuts, the profile and TestFunction.jet.  The r and t sums still run
-    per time panel, since a matrix product sums a row differently among
-    other rows."""
+    one phase go through _pass_integrals in passes of up to
+    _PANELS_PER_PASS panels."""
     panels = [(k, a, b) for k, eps in enumerate(ladder)
               for tb in (_time_breakpoints(plan, eps, phi),)
               for a, b in zip(tb[:-1], tb[1:]) if b - a >= 1e-13]
@@ -293,41 +293,67 @@ def _weak_integrals(plan: WavePlan, phi: TestFunction, ladder, powers):
     by_phase = {}
     for j, m in enumerate(mid.tolist()):
         by_phase.setdefault(id(ph := plan.phase_at(m)), (ph, []))[1].append(j)
-    passes = [(ph, rows[i:i + _PANELS_PER_PASS])
-              for ph, rows in by_phase.values()
-              for i in range(0, len(rows), _PANELS_PER_PASS)]
-    n, size = plan.data.n, _GL_X.size
     per_panel = {p: np.zeros(mid.size) for p in powers}
-    for ph, rows in passes:
-        t = mid[rows, None] + half[rows, None] * _GL_X
-        eps = np.asarray(ladder)[rung[rows], None]
-        curves = [np.full(t.shape, phi.r_lo), np.full(t.shape, phi.r_hi)] + [
-            f.xi(t) + o for f in ph.fronts for o in _edges(f, eps)]
-        cuts = np.sort(np.clip(np.stack(curves, axis=-1), phi.r_lo, phi.r_hi))
-        lo, hi = cuts[..., :-1], cuts[..., 1:]
-        keep = hi - lo >= 1e-14
-        pan, node, _ = np.nonzero(keep)
-        c, u, strip = (v[keep][:, None] for v in _strip_profile(
-            ph, eps[..., None], 0.5 * (lo + hi), t[..., None]))
-        rhalf = 0.5 * (hi - lo)[keep]
-        rr = 0.5 * (lo + hi)[keep][:, None] + rhalf[:, None] * _GL_X
-        phi_v, phi_r, phi_t = phi.jet(rr, t[pan, node][:, None])
-        rho = c * np.where(strip, 1.0, rr ** (1 - n))
-        ends = np.searchsorted(pan, np.arange(len(rows) + 1)).tolist()
-        for p in powers:
-            a_m, b_m = rho * u ** p, rho * u ** (p + 1)
-            vals = a_m * phi_t + b_m * phi_r
-            if n > 1:
-                vals = vals - (n - 1) * b_m * phi_v / rr
-            rsum = np.concatenate([vals[i:j] @ _GL_W
-                                   for i, j in zip(ends[:-1], ends[1:])])
-            per_node = np.bincount(pan * size + node, rhalf * rsum,
-                                   len(rows) * size).reshape(-1, size)
-            per_panel[p][rows] = half[rows] * [float(np.dot(v, _GL_W))
-                                               for v in per_node]
+    for ph, rows in by_phase.values():
+        for i in range(0, len(rows), _PANELS_PER_PASS):
+            part = rows[i:i + _PANELS_PER_PASS]
+            for p, v in _pass_integrals(
+                    ph, phi, plan.data.n, mid[part], half[part],
+                    np.asarray(ladder)[rung[part]], powers).items():
+                per_panel[p][part] = v
     totals = {p: [sum(v[rung == k].tolist(), 0.0) for k in range(len(ladder))]
               for p, v in per_panel.items()}
     return totals, tuple(np.bincount(rung, minlength=len(ladder)).tolist())
+
+
+def _pass_integrals(ph, phi: TestFunction, n: int, mid, half, eps, powers):
+    """{power: weak integral over each time panel mid +- half (strip width
+    eps) against phi}, for panels in phase ph, in one numpy pass; the
+    pass's arrays are freed on return.
+
+    The fronts' paths are evaluated once at the time nodes.  Row
+    (panel, k) is time node k of a panel; its r panels run between phi's
+    support edges and the family's discontinuities clipped to the
+    support, and only the nonempty ones go on: _strip_profile, with each
+    panel's eps, decides them at their midpoints.  Every power reuses the
+    cuts, the profile, TestFunction.jet and the moments rho u^k.  The r
+    and t sums run per time panel, since a matrix product sums a row
+    differently among other rows."""
+    size = _GL_X.size
+    t = mid[:, None] + half[:, None] * _GL_X
+    paths = _front_paths(ph, t)
+    curves = [np.full(t.shape, phi.r_lo), np.full(t.shape, phi.r_hi)] + [
+        x + o for f, (x, _, _) in zip(ph.fronts, paths)
+        for o in _edges(f, eps[:, None])]
+    cuts = np.sort(np.clip(np.stack(curves, axis=-1), phi.r_lo, phi.r_hi))
+    lo, hi = cuts[..., :-1], cuts[..., 1:]
+    keep = hi - lo >= 1e-14
+    pan, node, _ = np.nonzero(keep)
+    lo, hi, tk = lo[keep], hi[keep], t[pan, node]
+    rmid, rhalf = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    at = [tuple(v if v is None else v[pan, node] for v in p) for p in paths]
+    c, u, strip = (v[:, None] for v in _strip_profile(
+        ph, eps[pan], rmid, tk, at))
+    rr = rmid[:, None] + rhalf[:, None] * _GL_X
+    phi_v, phi_r, phi_t = phi.jet(rr, tk[:, None])
+    # rho = c r^{1-n} off the strips (the power taken only there), c on them
+    rho = c if n == 1 else c * np.power(rr, 1 - n, out=np.ones(rr.shape),
+                                        where=~strip)
+    ends = np.searchsorted(pan, np.arange(mid.size + 1)).tolist()
+    out, held = {}, {}   # rho u^{p+1} of one power is the next one's a_m
+    for p in sorted(powers):
+        a_m = held.pop(p) if p in held else rho * u ** p
+        b_m = held[p + 1] = rho * u ** (p + 1)
+        vals = a_m * phi_t
+        vals += b_m * phi_r
+        if n > 1:
+            vals -= (n - 1) * b_m * phi_v / rr
+        rsum = np.concatenate([vals[i:j] @ _GL_W
+                               for i, j in zip(ends[:-1], ends[1:])])
+        per_node = np.bincount(pan * size + node, rhalf * rsum,
+                               mid.size * size).reshape(-1, size)
+        out[p] = half * [float(np.dot(v, _GL_W)) for v in per_node]
+    return out
 
 
 def weak_residual(plan: WavePlan, eps: float, phi: TestFunction,

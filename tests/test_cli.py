@@ -163,6 +163,26 @@ def test_nan_data_exits_2_without_plan(tmp_path, capsys, field):
     assert not (out / "plan.txt").exists()
 
 
+@pytest.mark.parametrize("verify", [
+    {"conservation": "false", "weak_ladder": "no"},
+    {"entropy": 0},
+    {"example64": None},
+], ids=["strings", "number", "null"])
+def test_non_boolean_verify_flags_exit_2(tmp_path, capsys, verify):
+    # "false" would read as True under bool(); only JSON booleans count
+    code, out = run(tmp_path, "verify", write_config(tmp_path, verify=verify))
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_boolean_verify_flags_load(tmp_path):
+    sc = cli.load_scenario(write_config(tmp_path, verify={
+        "conservation": False, "weak_ladder": False, "example64": True}))
+    assert (sc.verify_conservation, sc.verify_entropy, sc.verify_weak_ladder,
+            sc.verify_example64) == (False, True, False, True)
+
+
 def test_unknown_expected_fail_exits_2(tmp_path):
     cfg = write_config(tmp_path, verify={"expected_fail": ["everything"]})
     assert run(tmp_path, "verify", cfg)[0] == 2

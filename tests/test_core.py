@@ -9,7 +9,7 @@ from radialsw.core import (
     RegionProfile, SHOCK, WavePlan, DELTA_SHOCK, jump_brackets,
     kappa_fluxes, surface_area,
 )
-from radialsw.verify import _strip_profile
+from radialsw.verify import _front_paths, _strip_profile
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 density = st.floats(min_value=0, max_value=50, allow_nan=False)
@@ -60,6 +60,27 @@ def test_kappa_fluxes_match_brackets():
     k1, k2 = kappa_fluxes(0.25, 2.0, 1.0, 1.0, -1.0)
     assert k1 == 0.25 * br - bru
     assert k2 == 0.25 * bru - bru2
+
+
+wide = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+@given(wide, st.floats(min_value=0, max_value=1e100), wide,
+       st.floats(min_value=0, max_value=1e100), wide)
+@settings(max_examples=300, deadline=None)
+def test_kappa_fluxes_bits_equal_bracket_form(cdot, rho0, u0, rho1, u1):
+    # kappa_fluxes builds its two brackets itself; the fluxes keep the bits
+    # of the jump_brackets form, zeros' signs included
+    br, bru, bru2, _ = jump_brackets(rho0, u0, rho1, u1)
+    want = (cdot * br - bru, cdot * bru - bru2)
+    got = kappa_fluxes(cdot, rho0, u0, rho1, u1)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_kappa_fluxes_reject_negative_density():
+    for rho0, rho1 in ((-1.0, 1.0), (1.0, -0.5)):
+        with pytest.raises(DomainError):
+            kappa_fluxes(0.0, rho0, 0.0, rho1, 0.0)
 
 
 def test_data_validation():
@@ -155,6 +176,8 @@ def test_region_index_picks_outer_side_on_front():
     for phase in (ph, skew):
         got = phase.region_index(radii, 0.5)
         assert got.tolist() == [phase.region_index(float(r), 0.5) for r in radii]
+        xs = [f.xi(0.5) for f in phase.fronts]   # positions given beforehand
+        assert phase.region_index(radii, 0.5, xs).tolist() == got.tolist()
     assert skew.region_index(radii, 0.5).tolist() == [0, 1, 2, 2, 2]
     assert Phase(0.0, 1.0, (), (left,)).region_index(radii, 0.5).tolist() == [0] * 5
 
@@ -169,7 +192,8 @@ def test_eps_family_strip_and_moments():
         """(rho, u) of the eps-realized family at radius r, a float or an
         array, at time t; vacuum gives (0, 0)."""
         rr = np.asarray(r, dtype=float)
-        c, u, strip = _strip_profile(plan.phase_at(t), eps, rr, t)
+        ph = plan.phase_at(t)
+        c, u, strip = _strip_profile(ph, eps, rr, t, _front_paths(ph, t))
         rho = np.where(strip, c, c * rr ** (1 - plan.data.n))
         return (float(rho), float(u)) if rr.ndim == 0 else (rho, u)
 
@@ -202,13 +226,16 @@ def test_eps_family_strip_and_moments():
     # per-point times within one phase: each row is its own time
     ph = plan.phase_at(0.5)
     times = np.array([[0.3], [0.5], [0.7]])
-    c, u, strip = _strip_profile(ph, eps, np.tile(radii, (3, 1)), times)
+    c, u, strip = _strip_profile(ph, eps, np.tile(radii, (3, 1)), times,
+                                 _front_paths(ph, times))
     for k, t in enumerate(times[:, 0]):
-        ck, uk, sk = _strip_profile(ph, eps, radii, float(t))
+        ck, uk, sk = _strip_profile(ph, eps, radii, float(t),
+                                    _front_paths(ph, float(t)))
         assert c[k].tolist() == ck.tolist() and u[k].tolist() == uk.tolist()
         assert strip[k].tolist() == sk.tolist()
     with pytest.raises(DomainError):
-        _strip_profile(ph, eps, radii[:2], np.array([0.5, 1.5]))
+        times = np.array([0.5, 1.5])
+        _strip_profile(ph, eps, radii[:2], times, _front_paths(ph, times))
 
 
 def test_atom_mass_identity():

@@ -45,7 +45,7 @@ def test_output_digests_subset(tmp_path):
     # one item per workload and seed: 7 items, each run by solve and by
     # its own command, one output file per run; the own command's run also
     # holds the benchmark check's outcome, which passes or is a weak-ladder
-    # order below the gate
+    # order below the gate, and a verify run the front ODE check's figures
     out = tmp_path / "digests.json"
     run_script("output_digests.py", [str(out), "--limit", "1"])
     digests = json.loads(out.read_text(encoding="utf-8"))
@@ -56,11 +56,15 @@ def test_output_digests_subset(tmp_path):
         name = {"solve": "plan.txt", "sample": "samples.csv",
                 "verify": "verify.txt", "oracle": "oracle.csv"}[key.split("/")[-1]]
         own = key.split("/")[-1] != "solve"
+        ode = key.split("/")[-1] == "verify"
         assert sorted(record) == sorted(["exit", "stdout", name]
-                                        + ["check"] * own)
+                                        + ["check"] * own + ["ode"] * ode)
         assert len(record[name]) == 64
         if own:
             assert record["check"] in ("", "ladder_gate"), (key, record)
+        if ode:
+            assert sorted(record["ode"]) == ["residual", "sigma_err", "xi_err"]
+            assert all(float.fromhex(v) >= 0.0 for v in record["ode"].values())
 
 
 def test_bench_pairs_summary_on_canned_runs():

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import pathlib
 
@@ -77,6 +78,13 @@ def test_rhs_rejects_nonpositive_position():
         so.front_rhs(0.0, 0.0, 0.0, 1.0, fixed_states(1, 0, 1, 0), 2)
 
 
+def test_rhs_rejects_negative_outer_density():
+    for states in (fixed_states(-1.0, 0.0, 1.0, 0.0),
+                   fixed_states(1.0, 0.0, -1e-300, 0.0)):
+        with pytest.raises(DomainError):
+            so.front_rhs(0.0, 1.0, 0.0, 1.0, states, 2)
+
+
 # ---------------------------------------------------------------------------
 # integrate_front vs closed forms
 
@@ -95,6 +103,20 @@ def test_ivp_validation():
         so.integrate_front(ivp, -1.0)
     with pytest.raises(DomainError):  # speed0 required once sigma0 > 0
         so.integrate_front(ivp, 2.0)
+
+
+def test_trajectory_bits_are_pinned():
+    # an n = 3 front started off its algebraic root; the fixture holds the
+    # accepted samples as float.hex and the right-hand-side evaluations, so
+    # a stepper change at rounding level shows
+    d = PseudoRiemannData(n=3, R=1.0, rho_l=2.0, rho_r=0.5, u_l=1.5, u_r=-0.7)
+    traj = so.integrate_front(
+        so.FrontIVP(0.0, d.R, 0.3, 0.2, power_law_states(d), d.n), 2.0)
+    want = json.loads((pathlib.Path(__file__).parent / "data"
+                       / "front_trajectory_n3.json").read_text())
+    for key in ("t", "xi", "speed", "sigma"):
+        assert [x.hex() for x in getattr(traj, key).tolist()] == want[key]
+    assert traj.nfev == want["nfev"]
 
 
 def test_matches_constant_speed_closed_form():

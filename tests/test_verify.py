@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -446,6 +447,23 @@ def test_batched_ladder_matches_per_panel_reference(case):
     eps = rep.eps[-1]
     assert (vf.weak_residual(plan, eps, phi, "momentum")
             == _reference_weak_residual(plan, eps, phi, "momentum")[0])
+
+
+@given(delta_ladders())
+@example(_slow_front_on_support_edge())
+@settings(max_examples=30, deadline=None)
+def test_pass_size_leaves_weak_integrals_bitwise_equal(case):
+    # the r and t sums run per time panel, so a panel's totals do not depend
+    # on the panels that share its pass (a matrix product over a whole pass
+    # may round a row differently depending on its neighbours)
+    plan, phi = case
+    ladder = tuple(vf.EPS0 * 0.5 ** k for k in range(7))
+    totals, panels = vf._weak_integrals(plan, phi, ladder, {0, 1, 2})
+    with mock.patch.object(vf, "_PANELS_PER_PASS", 1):
+        one, one_panels = vf._weak_integrals(plan, phi, ladder, {0, 1, 2})
+    assert one_panels == panels
+    for p in (0, 1, 2):
+        assert [x.hex() for x in one[p]] == [x.hex() for x in totals[p]]
 
 
 def test_weak_residual_classical_region_is_quadrature_exact():
