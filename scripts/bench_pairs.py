@@ -9,8 +9,15 @@ CHANGE_DIR/BENCHMARK.json names, the number of pairs the change won on it
 parent's interquartile range.  Each run's metrics go to standard error as
 it ends.
 
-    python scripts/bench_pairs.py ../parent . --workload oracle_ladder \\
-        --seed 13 --pairs 10
+Make both sides the same way, as sibling directories: a run of the main
+working tree against a copy elsewhere has read differences on code paths
+the change leaves alone.  For example, from the repository root:
+
+    mkdir ../parent ../change
+    git archive PARENT_COMMIT | tar -x -C ../parent
+    git archive CHANGE_COMMIT | tar -x -C ../change
+    python scripts/bench_pairs.py ../parent ../change \\
+        --workload oracle_ladder --seed 13 --pairs 10
 """
 import argparse
 import json

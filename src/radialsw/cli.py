@@ -41,9 +41,139 @@ def _write(out_dir: str, name: str, *texts: str) -> None:
             fh.write(text.encode("ascii"))
 
 
+# The %.17g kernel of _texts.  For 10**-6 <= |x| < 10**17, j = 16 -
+# floor(log10|x|) lies in [0, 22], so 10**j is a double, and Dekker's
+# split product (Numer. Math. 18, 1971) gives |x| * 10**j exactly as
+# hi + lo.  Each text is first one row of six uint64 words, for the
+# decimal exponent X = 16 - j in [-6, 16] and the 17 digits d0..d16:
+#   word 0     the sign, "0.000" (for -4 <= X < 0), d0 and its point slot;
+#   words 1-4  d1..d16 in groups of four, each digit before its point slot;
+#   word 5     "e-0X" (for X < -4), then ",\n".
+# Bytes left NUL (point slots not chosen, trailing zeros %g drops) are
+# deleted from all rows at once.
+_TEXTS_PER_PASS = 2048
+_POW10 = np.array([float(10 ** j) for j in range(23)])
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _words(texts) -> np.ndarray:
+    """Each ASCII text of at most 8 characters as one NUL-padded uint64."""
+    return np.frombuffer(b"".join(
+        t.encode("ascii").ljust(8, b"\0") for t in texts), np.uint64)
+
+
+_X_MIN = -6
+_LEAD = _words(["\0" + "0." + "0" * (-1 - X) if -4 <= X < 0 else ""
+                for X in range(_X_MIN, 17)])
+_TAIL = _words(["e%+03d,\n" % X if X < -4 else ",\n"
+                for X in range(_X_MIN, 17)])
+# Tables of the groups g = 1000 a + 100 b + 10 c + d, built over the axes
+# (a, b, c, d): _GROUPS[g] holds the digit bytes of g, and _LAST[m, g] the
+# index of the last nonzero digit of g as group m, or 0 for g = 0.
+_ascii = np.arange(48, 58, dtype=np.uint8)
+_GROUPS = np.zeros((10, 10, 10, 10, 8), np.uint8)
+_GROUPS[..., 0] = _ascii[:, None, None, None]
+_GROUPS[..., 2] = _ascii[:, None, None]
+_GROUPS[..., 4] = _ascii[:, None]
+_GROUPS[..., 6] = _ascii
+_GROUPS = _GROUPS.view(np.uint64).ravel()
+_last = np.zeros((10, 10, 10, 10), np.int8)
+_last[1:] = 1
+_last[:, 1:] = 2
+_last[:, :, 1:] = 3
+_last[..., 1:] = 4
+_m = np.arange(4, dtype=np.int8)[:, None]
+_LAST = np.where(_last.ravel() > 0, _last.ravel() + 4 * _m, 0).astype(np.int8)
+# _KEEP[m, k]: the mask of group m's digit bytes whose indices are <= k
+_KEEP = np.zeros((4, 17, 8), np.uint8)
+_KEEP[:, :, ::2] = np.arange(17)[:, None] >= 4 * _m[..., None] + [1, 2, 3, 4]
+_KEEP = _KEEP.view(np.uint64)[..., 0] * np.uint64(255)
+del _ascii, _last, _m
+
+
 def _texts(values) -> list:
-    """_FMT % x + "," for each float x of values, from one % operation."""
-    return ((_FMT + ",\n") * len(values) % tuple(values)).split("\n")[:-1]
+    """_FMT % x + "," for each x of the float64 array values, by the
+    kernel above in passes of _TEXTS_PER_PASS values.  Zeros, non-finite
+    values and |x| outside [10**-6, 10**17) take _fmt one at a time."""
+    x = np.asarray(values, dtype=float)
+    texts = []
+    for start in range(0, x.size, _TEXTS_PER_PASS):
+        texts += _text_pass(x[start:start + _TEXTS_PER_PASS])
+    return texts
+
+
+def _scaled(ax, j):
+    """hi, lo with hi + lo == ax * 10**j exactly: Dekker's product."""
+    c = ax * _SPLITTER
+    a_hi = c - (c - ax)
+    a_lo = ax - a_hi
+    p_hi, p_lo = _POW10_HI[j], _POW10_LO[j]
+    hi = ax * _POW10[j]
+    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+
+def _decade(hi, lo):
+    """-1, 0 or 1 where hi + lo is below 1e16, in [1e16, 1e17) or above,
+    tested exactly."""
+    above = (hi > 1e17) | (hi == 1e17) & (lo >= 0)
+    return above.astype(np.int8) - ((hi < 1e16) | (hi == 1e16) & (lo < 0))
+
+
+def _text_pass(x) -> list:
+    """_texts of at most _TEXTS_PER_PASS values."""
+    ax = np.abs(x)
+    ok = (ax >= 1e-6) & (ax < 1e17)
+    ax[~ok] = 1.0
+    j = 16 - np.floor(np.log10(ax)).astype(np.int64)
+    np.clip(j, 0, 22, out=j)
+    hi, lo = _scaled(ax, j)
+    # log10 can round across a power of ten and leave j one off
+    off = _decade(hi, lo)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        j[redo] = np.clip(j[redo] - off[redo], 0, 22)
+        hi[redo], lo[redo] = _scaled(ax[redo], j[redo])
+        ok[redo] &= _decade(hi[redo], lo[redo]) == 0
+    # Now 1e16 <= hi + lo < 1e17 where ok.  There hi is an even integer,
+    # so hi + rint(lo) is the 17-digit significand, ties to even.  It stays
+    # below 10**17: a double below a power of ten lies at least 1.1e-16 of
+    # it away, more than half a unit of the 17th digit.
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    X = 16 - j
+    head = D // 10 ** 8
+    tail = D - head * 10 ** 8
+    d0 = head // 10 ** 8
+    head -= d0 * 10 ** 8
+    G = np.empty((4, x.size), np.int64)
+    G[0] = head // 10 ** 4
+    G[1] = head - G[0] * 10 ** 4
+    G[2] = tail // 10 ** 4
+    G[3] = tail - G[2] * 10 ** 4
+    last = _LAST[0][G[0]]
+    for m in range(1, 4):
+        np.maximum(last, _LAST[m][G[m]], out=last)
+    point = np.where(X < -4, 0, X)  # the index of the digit before the point
+    keep = np.maximum(last, point)
+    rows = np.empty((x.size, 6), np.uint64)
+    rows[:, 0] = _LEAD[X - _X_MIN]
+    for m in range(4):
+        rows[:, 1 + m] = _GROUPS[G[m]] & _KEEP[m][keep]
+    rows[:, 5] = _TAIL[X - _X_MIN]
+    ch = rows.view(np.uint8)
+    ch[:, 0] = np.signbit(x) * 45
+    ch[:, 6] = d0 + 48
+    dot = np.flatnonzero((last > point) & (point >= 0))
+    ch[dot, 7 + 2 * point[dot]] = 46
+    bad = np.flatnonzero(~ok)
+    ch[bad] = 0
+    ch[bad, -1] = 10
+    texts = rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    texts.pop()
+    for i in bad.tolist():
+        texts[i] = _fmt(x[i]) + ","
+    return texts
 
 
 @dataclass
@@ -70,7 +200,7 @@ def _grid(raw, name) -> np.ndarray:
             arr = np.asarray(raw, dtype=float)
         elif isinstance(raw, dict):
             count = raw["count"]
-            if int(count) != count or count < 1:
+            if isinstance(count, bool) or int(count) != count or count < 1:
                 raise ConfigError("%s grid count must be an integer >= 1" % name)
             arr = np.linspace(float(raw["start"]), float(raw["stop"]), int(count))
         else:
@@ -100,12 +230,15 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError("config must be an object with schema %r" % SCHEMA)
     try:
         dd = raw["data"]
-        data = PseudoRiemannData(n=int(dd["n"]), R=float(dd["R"]),
+        if isinstance(dd["n"], bool):
+            raise ConfigError("bad initial data: n must be an integer >= 1,"
+                              " got %r" % (dd["n"],))
+        data = PseudoRiemannData(n=dd["n"], R=float(dd["R"]),
                                  rho_l=float(dd["rho_l"]), rho_r=float(dd["rho_r"]),
                                  u_l=float(dd["u_l"]), u_r=float(dd["u_r"]))
     except KeyError as exc:
         raise ConfigError("data section needs n, R, rho_l, rho_r, u_l, u_r") from exc
-    except (TypeError, ValueError, DomainError) as exc:
+    except (TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ConfigError("bad initial data: %s" % exc) from exc
     ver, orc, sample = (raw.get(k, {}) for k in ("verify", "oracle", "sample"))
     if not all(isinstance(sec, dict) for sec in (ver, orc, sample)):
@@ -124,7 +257,7 @@ def load_scenario(path: str) -> Scenario:
         oracle_times = tuple(float(t) for t in times)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("bad numeric setting: %s" % exc) from exc
-    if oracle_N != tuple(N_list):
+    if oracle_N != tuple(N_list) or any(isinstance(N, bool) for N in N_list):
         raise ConfigError("oracle N must be integers, got %r" % (N_list,))
     if not oracle_times or min(oracle_times) < 0:
         raise ConfigError("oracle times must be a nonempty list of times >= 0")
@@ -223,7 +356,7 @@ def _sample_pieces(plan: WavePlan, t_grid, r_grid) -> list:
     bits = np.sort(allbits)
     bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
     inverse = np.searchsorted(bits, allbits)
-    text = np.array(_texts(bits.view(float).tolist()), dtype=object)[inverse]
+    text = np.array(_texts(bits.view(float)), dtype=object)[inverse]
     r_text, t_text, m0_text, rho_text, u_text = np.split(
         text, [m, m + K, m + 2 * K, m + 2 * K + K * m])
     rows = np.empty((K, m, 5), dtype=object)

@@ -67,8 +67,13 @@ def test_missing_data_key_exits_2(tmp_path):
 
 
 def test_bad_data_exits_2(tmp_path):
-    cfg = write_config(tmp_path, data=dict(WORKED, rho_l=-1.0))
-    assert run(tmp_path, "solve", cfg)[0] == 2
+    # n = 2.7 must not be truncated to 2, nor a JSON true read as n = 1
+    for name, bad in [("rho_l", {"rho_l": -1.0}), ("n_fraction", {"n": 2.7}),
+                      ("n_true", {"n": True}), ("n_inf", {"n": math.inf})]:
+        code, out = run(tmp_path, "solve",
+                        write_config(tmp_path, data=dict(WORKED, **bad)), name)
+        assert code == 2, name
+        assert not out.exists() or not os.listdir(out), name
 
 
 def test_nonpositive_t_max_exits_2(tmp_path):
@@ -97,12 +102,13 @@ def test_t_grid_beyond_t_max_exits_2(tmp_path):
     ("sample", {"sample": {"r": [math.nan, 1.0]}}),
     ("sample", {"sample": {"r": {"start": 0.1, "stop": 2.0, "count": -3}}}),
     ("sample", {"sample": {"r": {"start": 0.1, "stop": 2.0, "count": 2.5}}}),
+    ("sample", {"sample": {"r": {"start": 0.1, "stop": 2.0, "count": True}}}),
     ("oracle", {"oracle": {"N": [100], "times": [0.5, math.nan]}}),
     ("oracle", {"oracle": {"N": [10], "times": []}}),
     ("oracle", {"oracle": {"N": [10], "times": [-0.5]}}),
     ("verify", {"verify": {"r_max": math.nan}}),
 ], ids=["t_below_0", "t_max_inf", "t_nan", "r_nan", "count_negative",
-        "count_fraction", "oracle_time_nan", "oracle_times_empty",
+        "count_fraction", "count_true", "oracle_time_nan", "oracle_times_empty",
         "oracle_time_below_0", "verify_r_max_nan"])
 def test_out_of_domain_grids_and_times_exit_2(tmp_path, capsys, command,
                                               overrides):
@@ -119,6 +125,10 @@ def test_bad_oracle_N_exits_2(tmp_path):
     assert run(tmp_path, "oracle", cfg)[0] == 2
     cfg = write_config(tmp_path, oracle={"N": [2.7], "times": [0.5]})
     assert run(tmp_path, "oracle", cfg)[0] == 2
+    cfg = write_config(tmp_path, oracle={"N": [True, 10], "times": [0.5]})
+    code, out = run(tmp_path, "oracle", cfg, "N_true")
+    assert code == 2
+    assert not out.exists() or not os.listdir(out)
 
 
 @pytest.mark.parametrize("command, overrides", [
@@ -407,6 +417,98 @@ EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
 def test_batched_texts_equal_one_format_per_value(values):
     values = values + values[::2]  # repeated values
     assert cli._texts(values) == [cli._FMT % x + "," for x in values]
+
+
+def _neighbours(x, steps):
+    """x and its nearest `steps` doubles on each side."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], -math.inf))
+        above.append(np.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+# Doubles on every edge of the %.17g kernel (10**-6 <= |x| < 10**17): each
+# power of ten from 1e-7 to 1e18 with 40 neighbours per side (more than one
+# pass of the kernel); values whose exact decimal has 18 digits, the last
+# a 5 (m 2^-2 with m odd in [4e15, 2^53), m 2^-3 with m odd in [8e14,
+# 8e15)), so the 17th digit rounds half to even; values just below a power
+# of ten, whose 17 digits are all nines and must not carry; the layout
+# edges of the exponent X (-5/-4: e-05 or 0.0000..., 16/17: 17 digits or
+# e+17), with trailing zeros and without.
+POW10_NEIGHBOURS = [float(v) for k in range(-7, 19)
+                    for v in _neighbours(float("1e%d" % k), 40)]
+TIES = [m * 0.25 for m in (4 * 10 ** 15 + 1, 4 * 10 ** 15 + 3, 2 ** 53 - 1,
+                           2 ** 53 - 3, 5 * 10 ** 15 + 7)] + [
+        m * 0.125 for m in (8 * 10 ** 14 + 1, 8 * 10 ** 14 + 3, 8 * 10 ** 15 - 1,
+                            8 * 10 ** 15 - 3, 2 ** 52 + 5)]
+NINES = [float(np.nextafter(float("1e%d" % k), 0.0)) for k in range(-6, 18)]
+LAYOUT_EDGES = [1e-5, 1.5e-5, 9.9999999999999995e-06, 1e-4, 1.25e-4,
+                0.00012345678901234567, 9.9999999999999991e-05, 1e-3, 0.5,
+                1.0, 9.5, 1200.0, 1e15, 1.2e16, 1e16, 12345678901234568.0,
+                99999999999999984.0, 1e17, 1.2e17, 123456789012345678.0]
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            -2.225073858507201e-308, 1e-300, 9.9999999999999995e-07, 1e-6,
+            math.nan, -math.nan, math.inf, -math.inf, 1e308,
+            -1.7976931348623157e308]
+
+
+def _magnitudes():
+    """Positive doubles drawn densely inside [1e-7, 1e18]: any double, log-
+    uniform decades, and short decimals or integers with trailing zeros."""
+    return st.one_of(
+        st.floats(1e-7, 1e18),
+        st.floats(-7.0, 18.0).map(lambda e: 10.0 ** e),
+        st.builds(lambda m, k: m * 10.0 ** k if k >= 0 else m / 10.0 ** -k,
+                  st.integers(1, 10 ** 6), st.integers(-13, 12)))
+
+
+@given(st.lists(st.builds(math.copysign, _magnitudes(),
+                          st.sampled_from([1.0, -1.0])), max_size=50))
+@example(POW10_NEIGHBOURS)
+@example(TIES + [-x for x in TIES])
+@example(NINES + [-x for x in NINES])
+@example(LAYOUT_EDGES + [-x for x in LAYOUT_EDGES])
+@example(SPECIALS)
+@example([])
+@settings(max_examples=300, deadline=None)
+def test_texts_kernel_matches_one_format_per_value(values):
+    assert cli._texts(np.array(values, dtype=float)) == [
+        cli._FMT % x + "," for x in values]
+
+
+def test_texts_kernel_matches_one_format_on_random_bit_patterns():
+    rng = np.random.default_rng(20261019)
+    patterns = rng.integers(-2 ** 63, 2 ** 63 - 1, 100_000, dtype=np.int64)
+    # the same mantissas and signs with binary exponents inside the kernel's
+    # range, which uniform 64-bit patterns hit about once in 27 draws
+    in_range = (patterns & ~(0x7FF << 52)) | (
+        rng.integers(1023 - 20, 1023 + 57, patterns.size) << 52)
+    values = np.concatenate([patterns, in_range]).view(float)
+    texts = cli._texts(values)
+    assert len(texts) == values.size
+    assert [t for t, x in zip(texts, values.tolist())
+            if t != cli._FMT % x + ","] == []
+
+
+def test_texts_kernel_formats_its_range_without_fallback(monkeypatch):
+    # a kernel that sent in-range values to the per-value fallback would
+    # pass the tests above; here the fallback refuses them.  The range is
+    # 10**-6 <= |x| < 10**17, which the double 1e-6 (below 10**-6) is not in.
+    fallback = []
+
+    def out_of_range_only(x):
+        if math.isfinite(x) and 1e-6 < abs(x) < 1e17:
+            raise AssertionError("in-range value %r took the fallback" % x)
+        fallback.append(float(x))
+        return cli._FMT % x
+
+    monkeypatch.setattr(cli, "_fmt", out_of_range_only)
+    values = POW10_NEIGHBOURS + TIES + NINES + LAYOUT_EDGES + SPECIALS
+    assert cli._texts(np.array(values)) == [cli._FMT % x + "," for x in values]
+    outside = [x for x in values
+               if not (math.isfinite(x) and 1e-6 < abs(x) < 1e17)]
+    assert list(map(repr, fallback)) == list(map(repr, outside))
 
 
 def test_subnormal_radius_samples_inf_density(tmp_path):
