@@ -42,10 +42,9 @@ def main():
         t = float(t)
         sws = [f for f in plan.phase_at(t).fronts if f.kind == "ShadowWave"]
         if sws:
-            xi = sws[0].xi(t)
-            mass = S * sws[0].sigma(t) * xi ** (DATA.n - 1)
             print("%8.3f %12.8f %12.8f %14.8f %12.8f" % (
-                t, xi, sws[0].speed(t), mass, plan.m0(t)))
+                t, sws[0].xi(t), sws[0].speed(t), S * sws[0].mass(t),
+                plan.m0(t)))
         else:
             print("%8.3f %12s %12s %14s %12.8f" % (
                 t, "-", "-", "-", plan.m0(t)))

@@ -144,13 +144,14 @@ class RegionProfile:
 
 
 class FrontPath(Protocol):
-    """Time-parameterized front: position, speed and lineal mass.  xi,
-    speed and sigma take a float time, or an array of times and give an
-    array of its shape with the float form's bits at each element."""
+    """Time-parameterized front: position xi, speed, mass sigma xi^{n-1} per
+    solid angle, and lineal mass sigma.  Each takes a float time, or an array
+    of times and gives an array of its shape with the float form's bits."""
     kind: str
 
     def xi(self, t: float) -> float: ...
     def speed(self, t: float) -> float: ...
+    def mass(self, t: float) -> float: ...
     def sigma(self, t: float) -> float: ...
 
     def times_at(self, x: float, lo: float, hi: float) -> list:
@@ -199,6 +200,9 @@ class LinearFront:
 
     def speed(self, t):
         return path_const(t, self.velocity)
+
+    def mass(self, t):
+        return path_const(t, 0.0)
 
     def sigma(self, t):
         return path_const(t, 0.0)

@@ -54,12 +54,11 @@ class ConstSpeedSW:
     def speed(self, t):
         return path_const(t, self.v0)
 
-    def sigma(self, t):
-        return self.amp * t * path_power(self.xi(t), 1 - self.n)
+    def mass(self, t):
+        return self.amp * t
 
-    def total_mass(self, S, t):
-        """S xi^{n-1} sigma, written without xi: sigma xi^{n-1} = amp t."""
-        return S * self.amp * t
+    def sigma(self, t):
+        return self.mass(t) * path_power(self.xi(t), 1 - self.n)
 
     def times_at(self, x, lo, hi):
         return linear_times(self.R, self.v0, 0.0, x, lo, hi)
@@ -83,13 +82,11 @@ class PostAbsorptionSW:
     def speed(self, t):
         return self.u_r + 1.0 / path_sqrt(self.C * t + self.D)
 
-    def sigma(self, t):
-        s = path_sqrt(self.C * t + self.D)
-        return (2.0 * self.rho_r / self.C) * s * path_power(self.xi(t), 1 - self.n)
+    def mass(self, t):
+        return (2.0 * self.rho_r / self.C) * path_sqrt(self.C * t + self.D)
 
-    def total_mass(self, S, t):
-        """S xi^{n-1} sigma, written without xi."""
-        return S * ((2.0 * self.rho_r / self.C) * math.sqrt(self.C * t + self.D))
+    def sigma(self, t):
+        return self.mass(t) * path_power(self.xi(t), 1 - self.n)
 
     def times_at(self, x, lo, hi):
         """With s = sqrt(Ct+D), xi(t) = x reads u_r s^2 + 2 s + (C(E-x) -
@@ -314,7 +311,7 @@ def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
         else:
             f, fronts, regions = fronts[0], fronts[1:], regions[1:]
             if f.kind == SHADOW_WAVE:
-                dm = f.total_mass(S, t1)
+                dm = S * f.mass(t1)
                 m0 += dm
                 p0 += dm * f.speed(t1)
         t0 = t1
@@ -368,7 +365,7 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
     if bad.size:
         raise PlanRangeError("t=%r outside [0, t_max=%r]"
                              % (float(bad[0]), plan.t_max))
-    n, R = plan.data.n, plan.data.R
+    n, R, S = plan.data.n, plan.data.R, surface_area(plan.data.n)
     which = np.searchsorted([ph.t_start for ph in plan.phases], ts, "right") - 1
     rho, u = np.zeros((ts.size, r.size)), np.zeros((ts.size, r.size))
     is_vacuum, m0 = np.zeros(rho.shape, dtype=bool), np.zeros(ts.size)
@@ -415,8 +412,8 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
                     continue
                 hit = np.abs(r - x) < ATOM_POSITION_RTOL * np.where(x > R, x, R)
                 for i in np.flatnonzero(hit.any(axis=1)).tolist():
-                    xi, sg = float(x[i, 0]), f.sigma(float(T[i, 0]))
-                    atom = Atom(xi, sg, surface_area(n) * xi ** (n - 1) * sg)
+                    ti = float(T[i, 0])
+                    atom = Atom(float(x[i, 0]), f.sigma(ti), S * f.mass(ti))
                     row = atoms[rows[i]]
                     for j in np.flatnonzero(hit[i]).tolist():
                         if row[j] is None:

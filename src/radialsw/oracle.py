@@ -261,7 +261,7 @@ def compare(plan: WavePlan, ps: ParticleSystem, t: float, r_max: float) -> dict:
     for front in plan.phase_at(t).fronts:
         if front.kind == SHADOW_WAVE:
             pos_exact = front.xi(t)
-            mass_exact = S * front.sigma(t) * pos_exact ** (plan.data.n - 1)
+            mass_exact = S * front.mass(t)
             break
     Q_oracle = ps.total_mass() + ps.m0
     got = front_extract(ps, Q_oracle)

@@ -121,8 +121,7 @@ def conserved_pair(plan: WavePlan, t: float, r_max: float) -> ConservedPair:
     bounds = [0.0] + [f.xi(t) for f in ph.fronts] + [r_max]
     if any(x > r_max for x in bounds[1:-1]):
         raise DomainError("a front lies beyond r_max=%g at t=%g" % (r_max, t))
-    n = plan.data.n
-    S = surface_area(n)
+    S = surface_area(plan.data.n)
     Q, M = ph.m0(t), ph.p0(t)
     for reg, a, b in zip(ph.regions, bounds[:-1], bounds[1:]):
         if not reg.is_vacuum:
@@ -130,7 +129,7 @@ def conserved_pair(plan: WavePlan, t: float, r_max: float) -> ConservedPair:
             M += S * reg.coeff * reg.velocity * (b - a)
     for f in ph.fronts:
         if f.kind == SHADOW_WAVE:
-            atom = S * f.xi(t) ** (n - 1) * f.sigma(t)
+            atom = S * f.mass(t)
             Q += atom
             M += atom * f.speed(t)
     out = ph.regions[-1]

@@ -304,7 +304,8 @@ def test_sample_columns_and_content(tmp_path):
 # samples.csv digests recorded with the per-point sampler that preceded
 # evaluate_grid (the last one with its per-time form): every case kind, n = 1..4, r = 0 (inf rows), radii on a
 # front (atom rows), times in a vacuum fan and after absorption and the
-# origin dump, and a contact with u_l = 0.0, u_r = -0.0 ("0" and "-0" rows)
+# origin dump, and a contact with u_l = 0.0, u_r = -0.0 ("0" and "-0" rows);
+# absorb_no_hit_n4 re-recorded once the atom's total_mass read S m(t)
 GOLDEN_SAMPLES = [
     ("worked_n2", WORKED, 5.0,
      [0.0, 0.25, 0.5, 0.9494897427831779, 1.0, 1.5, 2.0, 3.0],
@@ -319,7 +320,7 @@ GOLDEN_SAMPLES = [
      dict(n=4, R=1.5, rho_l=2.0, rho_r=0.5, u_l=1.0, u_r=0.25), 8.0,
      [0.0, 0.5, 1.5, 1.875, 3.0, 6.371621004453466, 7.0],
      [0.0, 0.5, 3.0, 6.5, 8.0],
-     "5feb9fa46efdce92e4cca73034ce247ae4a4d15087ac1de18c9852d84c70a0b1"),
+     "004d7e5b9247a7edcb1c117e671e243a02f71b0cb8e1e229c4cc0c3b59fe01de"),
     ("inflow_hit_n3",
      dict(n=3, R=2.0, rho_l=2.0, rho_r=0.5, u_l=-0.5, u_r=-1.5), 3.0,
      [0.0, 0.5, 1.5833333333333335, 2.0, 3.0],
@@ -632,7 +633,9 @@ def test_oracle_csv(tmp_path):
 # the origin dump, an inflow hit, a vacuum fan and a drained side that feed
 # m0, a contact with u = -0.0, and R on a cell edge (r_max / N dyadic).
 # tests/data/oracle_<name>.csv holds each file as the heap event loop that
-# preceded the projection oracle wrote it; the digests pin today's bytes.
+# preceded the projection oracle wrote it, except inflow_hit_n3's two
+# mass_exact cells, now the front's n-free mass S m(t) (2 pi and 8 pi,
+# correctly rounded); the digests pin today's bytes.
 GOLDEN_ORACLE = [
     ("worked_n2", WORKED, 5.0,
      {"N": [300, 1000], "r_max": 5.3, "times": [0.5, 2.0, 3.9, 4.5]},
@@ -644,7 +647,7 @@ GOLDEN_ORACLE = [
     ("inflow_hit_n3",
      dict(n=3, R=2.0, rho_l=2.0, rho_r=0.5, u_l=-0.5, u_r=-1.5), 3.0,
      {"N": [400], "r_max": 6.0, "times": [0.5, 2.0, 2.6]},
-     "c11b6bd1f88229b5ef6faef11ada19f243156a7bf2dc5071bb9697b3bd53fccb"),
+     "60c69e0db5ca2821a34bb6d640f3f986caf52abd3954baa95468a099057bed02"),
     ("fan_n4", dict(n=4, R=1.0, rho_l=1.0, rho_r=2.0, u_l=-1.0, u_r=0.5), 2.0,
      {"N": [800], "r_max": 4.0, "times": [0.3, 0.7, 1.2, 2.0]},
      "97987e53efcd065da771fac7150d08f5eb8f3a7f1b32c5aa4323cb357dd1268a"),
@@ -690,7 +693,7 @@ def test_oracle_bytes_match_golden_digest(tmp_path, name, data, t_max, oracle,
 GOLDEN_REPORTS = [
     ("worked_n2", WORKED, 5.0, {},
      "457cac712004bbdf720c4a5c06370302b10692ed70e2c28c68f367fd34b2f7df",
-     "adb03ac8ac54deaa21f4a48ae3571552d6f3b2538b184c2e9b3268493ae0e29b"),
+     "ad178c891a90568860b889ef5b97b7cf4271f490244db2158457bec71b81a5f7"),
     ("fan_n4", dict(n=4, R=1.0, rho_l=1.0, rho_r=2.0, u_l=-1.0, u_r=0.5), 2.0,
      {},
      "6c88554c6ddcc6dca7d62c162678784e2040b21b1e9f38f0b96e1839ad210041",

@@ -99,6 +99,7 @@ def test_second_root_speed_examples():
     assert xr.second_root_speed(4, 0, 1, 1) == pytest.approx(-1.0)
     assert xr.second_root_speed(1, 0.3, 1, 1.7) is None
     assert xr.second_root_speed(1, 1, 4, 1) == pytest.approx(1.0)
+    assert xr.second_root_speed(4, 1, 16, 3) == 5.0
 
 
 @given(rhos, vels, rhos, vels)
@@ -203,6 +204,10 @@ def test_post_absorption_times_at_matches_xi():
     assert f.times_at(2.0, 0.8, 5.0) == ts[:1]
     assert f.times_at(2.6, 0.8, 20.0) == []
     assert f.times_at(0.0, 0.8, math.inf) == [pytest.approx(20.0, rel=1e-14)]
+    # u_r = 0: xi = 2 sqrt(t) has one root, c/q
+    f = xr.post_absorption(data(1, 1.0, 1.0, 1.0, 2.0, 0.0))
+    assert f == xr.PostAbsorptionSW(u_r=0.0, C=1.0, D=0.0, E=0.0, rho_r=1.0, n=1)
+    assert f.times_at(f.xi(7.0), 1.0, 20.0) == [pytest.approx(7.0, rel=1e-14)]
 
 
 @st.composite
@@ -223,19 +228,29 @@ def plans_over_decades(draw):
                                       max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_front_paths_take_arrays_with_float_bits(plan, fractions):
-    # xi and speed are + - * / and sqrt, which numpy rounds like math;
+    # xi, speed and mass are + - * / and sqrt, which numpy rounds like math;
     # sigma keeps Python's float power per time, which numpy's differs from
     for ph in plan.phases:
         end = ph.t_end if math.isfinite(ph.t_end) else 2 * ph.t_start + 1.0
         ts = ph.t_start + (end - ph.t_start) * np.array(fractions)
         ts = ts.reshape(1, -1)
         for f in ph.fronts:
-            for path in (f.xi, f.speed, f.sigma):
+            for path in (f.xi, f.speed, f.mass, f.sigma):
                 got = path(ts)
                 want = np.array([path(t) for t in ts.ravel().tolist()])
                 assert isinstance(got, np.ndarray) and got.shape == ts.shape
                 assert got.ravel().view(np.int64).tolist() == \
                     want.view(np.int64).tolist()
+            if f.kind != SHADOW_WAVE:
+                continue
+            # sigma = mass xi^{1-n} keeps the bits of its closed form
+            for t in ts.ravel().tolist():
+                if isinstance(f, xr.ConstSpeedSW):
+                    want = f.amp * t * f.xi(t) ** (1 - f.n)
+                else:
+                    want = ((2.0 * f.rho_r / f.C) * math.sqrt(f.C * t + f.D)
+                            * f.xi(t) ** (1 - f.n))
+                assert f.sigma(t).hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +378,9 @@ PLAN_DIGESTS = [
     ((4, 1.0, 9.0, 1.0, -1.0, -3.0),
      "df596e739b3eb466c7fe9419faff466ccbbfecfa36bf95f061904d27253fd197"),
     ((2, 1.3, 0.7, 2.9, -0.3, -1.7),
-     "5bdb77d987025401f20d8af3d2a101b2925f08039bbc65471e75d4fa4b2e8c77"),
+     "46781efe74cb3f1eb149cc65b399670e353a03741823b94131e9e07446233b7d"),
     ((3, 1.1, 2.3, 0.6, 0.0, -0.7),
-     "31ec2c76c2d3ff1f17df0cac051276e3d865fe481ce325d24a86b882d00a835d"),
+     "a7cca9fcd80ebeec89809c1bf53023169254fbdad93a08ced3b4573084208b59"),
     ((2, 1.0, 1.0, 1.0, 5e-324, 0.0),
      "4214c501c5f96b01d97a74001706cf72db8d211c13fd95d88a199bae7a75959b"),
     ((2, 1e10, 1.0, 1.0, 1e-300, -1e-300),

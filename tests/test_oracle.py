@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import radialsw.exact_riemann as xr
 import radialsw.oracle as orc
+import radialsw.verify as verify
 from radialsw.core import DomainError, PseudoRiemannData, surface_area
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -254,6 +255,22 @@ def test_compare_contact_has_no_front_rows():
     assert rep["pos_oracle"] is None
     assert rep["pos_error"] is None
     assert rep["mass_error"] is None
+
+
+def test_front_mass_where_xi_power_overflows():
+    # xi^{n-1} = 1e330 leaves float range; the front's mass S amp t does not
+    d = PseudoRiemannData(n=4, R=1e110, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
+    plan, mass = xr.solve(d, 1.0), 4 * math.pi ** 2
+    pair = verify.conserved_pair(plan, 1.0, 3e110)
+    assert pair.Q == pytest.approx(verify.conserved_pair(plan, 0.0, 3e110).Q,
+                                   rel=1e-15)
+    assert math.isfinite(pair.M)
+    atom = xr.evaluate_grid(plan, [1e110], 1.0).atoms[0]
+    assert atom.radius == 1e110 and atom.total_mass == pytest.approx(mass)
+    rep = orc.compare(plan, orc.discretize(d, 100, 3e110).run_until(1.0),
+                      1.0, 3e110)
+    assert rep["mass_exact"] == pytest.approx(mass)
+    assert math.isfinite(rep["Q_exact"])
 
 
 def test_fan_origin_mass_within_two_particles():
