@@ -10,19 +10,13 @@ from .core import (
     Atom,
     ConfigError,
     ConservedPair,
-    DegenerateDataError,
     DomainError,
     LinearFront,
     Phase,
-    PlanRangeError,
-    PreconditionError,
     PseudoRiemannData,
     RadialSWError,
     RegionProfile,
-    SingularStartError,
-    SingularTrajectoryError,
     SolutionSample,
-    UnsupportedRegionError,
     WavePlan,
     surface_area,
 )

@@ -12,6 +12,7 @@ demand.  All types here are immutable after construction.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Protocol
@@ -30,32 +31,21 @@ class DomainError(RadialSWError, ValueError):
     """Input outside the documented domain of an operation."""
 
 
-class DegenerateDataError(DomainError):
-    """Both densities vanish where at least one is required."""
-
-
-class PreconditionError(RadialSWError):
-    """Operation called on data that fails its precondition."""
-
-
-class PlanRangeError(RadialSWError):
-    """Sample time beyond the plan horizon."""
-
-
-class SingularStartError(RadialSWError):
-    """Front ODE started at sigma = 0 with inconsistent speed."""
-
-
-class SingularTrajectoryError(RadialSWError):
-    """Strip mass hit zero mid-trajectory with incompatible fluxes."""
-
-
-class UnsupportedRegionError(RadialSWError):
-    """Test-function support touches r = 0 or t = 0."""
-
-
 class ConfigError(RadialSWError):
     """Malformed scenario configuration."""
+
+
+def in_float_range(fn):
+    """Closed forms whose constants leave float range raise DomainError,
+    not the ZeroDivisionError or OverflowError of the arithmetic."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ArithmeticError as exc:
+            raise DomainError("closed-form constants leave float range (%s)"
+                              % type(exc).__name__) from exc
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +267,7 @@ class WavePlan:
         for ph in self.phases:
             if ph.t_start <= t < ph.t_end:
                 return ph
-        raise PlanRangeError("no phase covers t=%r" % (t,))
+        raise DomainError("no phase covers t=%r" % (t,))
 
     def m0(self, t: float) -> float:
         """Origin point mass m0(t): the running integral of the inflow flux

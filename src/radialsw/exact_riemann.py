@@ -13,7 +13,6 @@ t_origin_left otherwise).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,9 +22,8 @@ import numpy as np
 from .core import (
     ALL_VACUUM, CASE_CONTACT, CONTACT, DELTA_SHOCK, SHADOW_WAVE, SHOCK,
     VACUUM_EDGE, VACUUM_FAN, VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK,
-    Atom, DegenerateDataError, DomainError, LinearFront, Phase,
-    PlanRangeError, PreconditionError, PseudoRiemannData, RegionProfile,
-    SolutionSample, WavePlan,
+    Atom, DomainError, LinearFront, Phase, PseudoRiemannData, RegionProfile,
+    SolutionSample, WavePlan, in_float_range,
     linear_times, path_const, path_power, path_sqrt, surface_area,
 )
 
@@ -132,7 +130,7 @@ def first_root_speed(rho0: float, u0: float, rho1: float, u1: float) -> float:
     if rho0 < 0 or rho1 < 0:
         raise DomainError("densities must be >= 0")
     if rho0 == 0.0 and rho1 == 0.0:
-        raise DegenerateDataError("both densities vanish; no front speed")
+        raise DomainError("both densities vanish; no front speed")
     a, b = math.sqrt(rho0), math.sqrt(rho1)
     return (u1 * b + u0 * a) / (a + b)
 
@@ -148,22 +146,9 @@ def second_root_speed(rho0: float, u0: float, rho1: float, u1: float) -> Optiona
     return (u1 * b - u0 * a) / (b - a)
 
 
-def _in_float_range(fn):
-    """Closed forms whose constants leave float range raise DomainError,
-    not the ZeroDivisionError or OverflowError of the arithmetic."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ArithmeticError as exc:
-            raise DomainError("closed-form constants leave float range (%s)"
-                              % type(exc).__name__) from exc
-    return wrapper
-
-
 def _require_delta_shock(data: PseudoRiemannData) -> None:
     if classify(data) != DELTA_SHOCK:
-        raise PreconditionError("datum is not a delta shock case")
+        raise DomainError("datum is not a delta shock case")
 
 
 def _const_front(data: PseudoRiemannData) -> ConstSpeedSW:
@@ -172,7 +157,7 @@ def _const_front(data: PseudoRiemannData) -> ConstSpeedSW:
     return ConstSpeedSW(data.R, v0, amp, data.n)
 
 
-@_in_float_range
+@in_float_range
 def absorption_time(data: PseudoRiemannData) -> Optional[float]:
     """Time the interior vacuum edge catches the front, exhausting the left
     region: t_in = R (sqrt(rho_r)+sqrt(rho_l))/(sqrt(rho_r)(u_l-u_r)).
@@ -184,23 +169,28 @@ def absorption_time(data: PseudoRiemannData) -> Optional[float]:
     return data.R * (b + a) / (b * (data.u_l - data.u_r))
 
 
-@_in_float_range
+@in_float_range
 def post_absorption(data: PseudoRiemannData) -> PostAbsorptionSW:
     """The front after full absorption, with its constants C, D and E,
     valid on [t_in, t_sw0).  xi, xi-dot and the total front mass
-    |S^{n-1}| xi^{n-1} sigma are continuous at t_in.
+    |S^{n-1}| xi^{n-1} sigma are continuous at t_in.  There C t + D =
+    ((sqrt(rho_l) + sqrt(rho_r)) / (sqrt(rho_l) (u_l - u_r)))^2 > 0; a
+    t_in that underflows to 0 can leave it < 0, where the front is
+    undefined, and that raises DomainError.
     """
-    if absorption_time(data) is None:
-        raise PreconditionError("datum has no finite absorption time")
+    t_in = absorption_time(data)
+    if t_in is None:
+        raise DomainError("datum has no finite absorption time")
     C = 2.0 * data.rho_r / (data.R * data.rho_l * (data.u_l - data.u_r))
     D = (data.rho_l - data.rho_r) / (data.rho_l * (data.u_l - data.u_r) ** 2)
     E = (data.R / data.rho_r) * (data.rho_r - data.rho_l)
-    if not (0.0 < C < INF and math.isfinite(D) and math.isfinite(E)):
+    if not (0.0 < C < INF and math.isfinite(D) and math.isfinite(E)
+            and C * t_in + D >= 0.0):
         raise DomainError("post-absorption constants leave float range")
     return PostAbsorptionSW(data.u_r, C, D, E, data.rho_r, data.n)
 
 
-@_in_float_range
+@in_float_range
 def origin_hit_time(data: PseudoRiemannData) -> Optional[float]:
     """Time the shadow front reaches r = 0, if ever.
 
@@ -275,7 +265,7 @@ def _next_event(data: PseudoRiemannData, fronts, regions, t0: float):
     return name, (ts[0] if ts else None)
 
 
-@_in_float_range
+@in_float_range
 def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
     """Exact global plan for the datum, one phase per event of the module
     rule; phases partition [0, inf) structurally, t_max gates sampling via
@@ -342,6 +332,7 @@ class GridSample:
     atoms: list
 
 
+@in_float_range
 def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
     """Sample the plan at every radius of the 1-D array r and every time of
     t, a float or a 1-D array: regular fields, origin mass, and per point
@@ -356,15 +347,16 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
     a call per time.  At r = 0 a power-law region gives rho = coeff for
     n = 1 and inf for n >= 2 (the density coeff r^{1-n} is singular
     there), so samples.csv then holds inf; so does a radius whose r^{1-n}
-    leaves float range."""
+    leaves float range.  A front's sigma that leaves float range raises
+    DomainError."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not (r >= 0).all():
         raise DomainError("negative or nan radius")
     bad = ts[~(np.isfinite(ts) & (ts >= 0) & (ts <= plan.t_max))]
     if bad.size:
-        raise PlanRangeError("t=%r outside [0, t_max=%r]"
-                             % (float(bad[0]), plan.t_max))
+        raise DomainError("t=%r outside [0, t_max=%r]"
+                          % (float(bad[0]), plan.t_max))
     n, R, S = plan.data.n, plan.data.R, surface_area(plan.data.n)
     which = np.searchsorted([ph.t_start for ph in plan.phases], ts, "right") - 1
     rho, u = np.zeros((ts.size, r.size)), np.zeros((ts.size, r.size))

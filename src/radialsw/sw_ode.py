@@ -23,9 +23,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import (
-    DomainError, SingularStartError, SingularTrajectoryError, kappa_fluxes,
-)
+from .core import DomainError, kappa_fluxes
 from .exact_riemann import first_root_speed
 
 # sigma = 0 start is stepped past algebraically over this fraction of the span
@@ -156,7 +154,7 @@ def front_rhs(t: float, xi: float, speed: float, sigma: float,
     if sigma > 0.0:
         dspeed = (k2 - speed * k1) / sigma
     elif _off_root(speed, k1, k2):
-        raise SingularStartError(
+        raise DomainError(
             "sigma = 0 with speed off the algebraic root "
             "(speed*kappa1 - kappa2 = %g)" % (speed * k1 - k2,))
     else:
@@ -251,7 +249,7 @@ def _integrate(f, t, y, t_end, rtol, atol):
             if h_abs < min_step:
                 # typical cause: lineal mass blowing up as the front reaches
                 # the origin; integrate to a t_end short of the hit instead
-                raise SingularTrajectoryError(
+                raise DomainError(
                     "integration stalled at t=%g: required step size is "
                     "less than spacing between numbers" % t)
             t_new = min(t + h_abs, t_end)
@@ -349,11 +347,11 @@ def integrate_front(ivp: FrontIVP, t_end: float, tol: float = 1e-10,
         v = first_root_speed(rho0, u0, rho1, u1)
         if speed0 is not None:
             if _off_root(speed0, *kappa_fluxes(speed0, rho0, u0, rho1, u1)):
-                raise SingularStartError("sigma0 = 0 needs the algebraic root speed")
+                raise DomainError("sigma0 = 0 needs the algebraic root speed")
             v = speed0
         k1, _ = kappa_fluxes(v, rho0, u0, rho1, u1)
         if k1 <= 0.0:
-            raise SingularStartError("no strip mass grows from sigma = 0 here")
+            raise DomainError("no strip mass grows from sigma = 0 here")
         delta = SEED_FRACTION * (t_end - t0)
         t0 = t0 + delta
         xi0 = xi0 + v * delta
@@ -382,7 +380,7 @@ def integrate_front(ivp: FrontIVP, t_end: float, tol: float = 1e-10,
         te, (xe, ve, _) = ts[-1], ys[-1]
         rho0, u0, rho1, u1 = states(te, max(xe, _XI_TINY))
         if _off_root(ve, *kappa_fluxes(ve, rho0, u0, rho1, u1)):
-            raise SingularTrajectoryError(
+            raise DomainError(
                 "strip mass vanished at t=%g with incompatible fluxes" % te)
     xi, speed, sigma = np.array(ys).T.copy()
     return FrontTrajectory(np.array(ts), xi, speed, sigma, ts[0], ts[-1],

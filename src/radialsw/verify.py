@@ -17,8 +17,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    ConservedPair, DomainError, SHADOW_WAVE, UnsupportedRegionError, WavePlan,
-    jump_brackets, linear_times, surface_area,
+    ConservedPair, DomainError, SHADOW_WAVE, WavePlan,
+    in_float_range, jump_brackets, linear_times, surface_area,
 )
 from .exact_riemann import PostAbsorptionSW
 
@@ -44,6 +44,7 @@ def entropy_lhs(rho0: float, u0: float, rho1: float, u1: float, cdot: float) -> 
     return -cdot ** 3 * br + 3 * cdot ** 2 * bru - 3 * cdot * bru2 + bru3
 
 
+@in_float_range
 def worst_entropy_lhs(plan: WavePlan) -> Optional[float]:
     """Worst dissipation cubic over shadow-wave fronts at phase midpoints;
     None when the plan carries no shadow wave.  The plan is dissipative
@@ -113,10 +114,11 @@ def rankine_hugoniot_degenerate(rho0: float, u0: float, rho1: float, u1: float) 
 # ---------------------------------------------------------------------------
 # Conserved totals on (0, r_max]
 
+@in_float_range
 def conserved_pair(plan: WavePlan, t: float, r_max: float) -> ConservedPair:
     """Total mass Q and momentum M at time t in one pass: origin ledgers,
     regular power-law integrals, shadow-front atoms, and the constant
-    outflow through r_max."""
+    outflow through r_max.  DomainError when Q or M leaves float range."""
     ph = plan.phase_at(t)
     bounds = [0.0] + [f.xi(t) for f in ph.fronts] + [r_max]
     if any(x > r_max for x in bounds[1:-1]):
@@ -136,6 +138,8 @@ def conserved_pair(plan: WavePlan, t: float, r_max: float) -> ConservedPair:
     if not out.is_vacuum:
         Q += S * out.coeff * out.velocity * t
         M += S * out.coeff * out.velocity ** 2 * t
+    if not (math.isfinite(Q) and math.isfinite(M)):
+        raise DomainError("conserved totals leave float range at t=%g" % t)
     return ConservedPair(Q, M)
 
 
@@ -156,10 +160,13 @@ class TestFunction:
             raise DomainError("test function fields must be finite")
         if not (self.h_r > 0 and self.h_t > 0):
             raise DomainError("half-widths must be positive")
-        if self.r_c - self.h_r <= 0:
-            raise UnsupportedRegionError("support must stay inside r > 0")
-        if self.t_c - self.h_t < 0:
-            raise UnsupportedRegionError("support must stay inside t >= 0")
+        if self.r_lo <= 0:
+            raise DomainError("support must stay inside r > 0")
+        if self.t_lo < 0:
+            raise DomainError("support must stay inside t >= 0")
+        if not (self.r_lo < self.r_c < self.r_hi
+                and self.t_lo < self.t_c < self.t_hi):
+            raise DomainError("support rounds to a point")
 
     @property
     def r_lo(self):

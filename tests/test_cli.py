@@ -7,7 +7,8 @@ import os
 import pathlib
 import subprocess
 import sys
-from itertools import repeat
+import tempfile
+from itertools import combinations_with_replacement, repeat
 
 import numpy as np
 import pytest
@@ -555,6 +556,92 @@ def test_inflow_rates_beyond_float_range_exit_1_before_writing(tmp_path,
     assert code == 1
     assert not (out / "samples.csv").exists()
     assert "float range" in capsys.readouterr().err
+
+
+# Data whose closed forms leave float range or whose test-function support
+# rounds to a point; each of them ended in a traceback, or in nan
+# conservation drifts, before the one error contract.
+OUT_OF_RANGE = [
+    # default_test_function: r_c = 2e146, h_r = 3e-4, so r_lo == r_hi
+    ("verify", {"n": 2, "R": 1e-3, "rho_l": 1e300, "rho_r": 1.0,
+                "u_l": 1e3, "u_r": -1e3}, 1e300, {}),
+    # Q = inf at t = 0: a region term S coeff (b - a) overflows
+    ("verify", {"n": 4, "R": 1e300, "rho_l": 1e-300, "rho_r": 1e300,
+                "u_l": 1e-3, "u_r": -1e-8}, 1e-3, {}),
+    # RegionProfile.density at a subnormal front radius
+    ("verify", {"n": 4, "R": 5e-324, "rho_l": 5e-324, "rho_r": 5e-324,
+                "u_l": 0.0, "u_r": -5e-324}, 1e3, {}),
+    # jump_brackets' u0 ** 2 in the entropy check
+    ("verify", {"n": 4, "R": 1e300, "rho_l": 1e-12, "rho_r": 1e300,
+                "u_l": 1e300, "u_r": 1e-3}, 7.3, {}),
+    # conserved_pair's outflow velocity ** 2 * t
+    ("verify", {"n": 1, "R": 1.0, "rho_l": 1.0, "rho_r": 1.0,
+                "u_l": 1e200, "u_r": 1e200}, 1e3, {}),
+    # the atom's sigma = mass(t) * xi^{1-n} at xi ~ 1e-300, n = 3
+    ("sample", {"n": 3, "R": 1e-300, "rho_l": 1.0, "rho_r": 7.3,
+                "u_l": 1e-300, "u_r": -7.3}, 1.0,
+     {"sample": {"r": [1e-300], "t": [0.0, 1e-300]}}),
+]
+
+
+@pytest.mark.parametrize("command, data, t_max, extra", OUT_OF_RANGE, ids=[
+    "collapsed_support", "infinite_totals", "subnormal_front_density",
+    "entropy_brackets", "outflow_momentum", "atom_sigma"])
+def test_out_of_range_data_exit_1_before_writing(tmp_path, capsys, command,
+                                                 data, t_max, extra):
+    code, out = run(tmp_path, command,
+                    write_config(tmp_path, data=data, t_max=t_max, **extra))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not os.listdir(out)
+
+
+# ROADMAP item 9's lattice: magnitudes from the smallest subnormal to 1e300
+LATTICE = [5e-324, 1e-300, 1e-8, 1e-3, 1.0, 7.3, 1e3, 1e8, 1e300]
+SIGNED = [0.0, -0.0] + LATTICE + [-x for x in LATTICE]
+
+
+def _grids(values):
+    """Every sorted grid of one to three of values, repeats allowed."""
+    return st.sampled_from([g for k in (1, 2, 3) for g in
+                            combinations_with_replacement(sorted(values), k)])
+
+
+@st.composite
+def lattice_runs(draw):
+    """(command, config): any command on a datum, t_max, grids, r_max and
+    oracle N <= 200 drawn from LATTICE, densities and speeds from SIGNED
+    (a density from its nonnegative half at least every other draw, so
+    most data get past the configuration check).  A grid is one draw."""
+    pos, signed = st.sampled_from(LATTICE), st.sampled_from(SIGNED)
+    density = st.one_of(st.sampled_from(SIGNED[:2] + LATTICE), signed)
+    t_max = draw(pos)
+    times = _grids([0.0, t_max] + [x for x in LATTICE if x < t_max])
+    cfg = {"schema": cli.SCHEMA, "t_max": t_max,
+           "data": {"n": draw(st.integers(1, 4)), "R": draw(pos),
+                    "rho_l": draw(density), "rho_r": draw(density),
+                    "u_l": draw(signed), "u_r": draw(signed)},
+           "sample": {"r": draw(_grids(LATTICE)), "t": draw(times)},
+           "verify": {"r_max": draw(pos)},
+           "oracle": {"N": draw(st.lists(st.integers(1, 200), min_size=1,
+                                         max_size=2)),
+                      "times": draw(times), "r_max": draw(pos)}}
+    return draw(st.sampled_from(sorted(cli._COMMANDS))), cfg
+
+
+@given(lattice_runs())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_lattice_runs_exit_0_1_or_2(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        code = cli.main([command, "--config", path, "--out", out])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not os.path.exists(out) or not os.listdir(out)
 
 
 def test_default_r_grid_is_valid_for_small_R(tmp_path):

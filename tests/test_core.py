@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radialsw.core import (
-    Atom, DomainError, LinearFront, Phase, PlanRangeError, PseudoRiemannData,
+    Atom, DomainError, LinearFront, Phase, PseudoRiemannData,
     RegionProfile, SHOCK, WavePlan, DELTA_SHOCK, jump_brackets,
     kappa_fluxes, surface_area,
 )
+from radialsw import core
 from radialsw.verify import _front_paths, _strip_profile
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -243,11 +244,27 @@ def test_atom_mass_identity():
     assert a.total_mass == pytest.approx(4 * math.pi * 4.0 * 3.0)
 
 
+def test_one_error_contract():
+    errors = {name for name, obj in vars(core).items()
+              if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert errors == {"RadialSWError", "DomainError", "ConfigError"}
+
+    @core.in_float_range
+    def ratio(a, b):
+        return a / b
+
+    assert ratio(1.0, 4.0) == 0.25
+    with pytest.raises(DomainError, match=r"float range \(ZeroDivisionError\)"
+                       ) as info:
+        ratio(1.0, 0.0)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
 def test_plan_range_error_via_phase_at():
     left = RegionProfile.power_law(1.0, 0.0)
     ph = Phase(0.0, 5.0, (), (left,))
     data = PseudoRiemannData(n=1, R=1, rho_l=1, rho_r=1, u_l=0, u_r=0)
     plan = WavePlan(data=data, case="Contact", phases=(ph,),
                     events={}, t_max=5.0)
-    with pytest.raises(PlanRangeError):
+    with pytest.raises(DomainError, match="no phase covers"):
         plan.phase_at(7.0)

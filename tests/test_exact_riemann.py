@@ -10,9 +10,8 @@ import radialsw.exact_riemann as xr
 from grid_strategies import sampled_plans
 from radialsw.core import (
     ALL_VACUUM, CASE_CONTACT, DELTA_SHOCK, SHADOW_WAVE, VACUUM_FAN,
-    VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK, DegenerateDataError, DomainError,
-    PlanRangeError, PreconditionError, PseudoRiemannData, kappa_fluxes,
-    surface_area,
+    VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK, DomainError, PseudoRiemannData,
+    kappa_fluxes, surface_area,
 )
 
 WORKED = PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
@@ -89,7 +88,7 @@ def test_first_root_speed_examples():
 
 
 def test_first_root_speed_degenerate():
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DomainError, match="both densities vanish"):
         xr.first_root_speed(0.0, 1.0, 0.0, 2.0)
     with pytest.raises(DomainError):
         xr.first_root_speed(-1.0, 0.0, 1.0, 0.0)
@@ -170,8 +169,18 @@ def test_post_absorption_equal_densities_kill_constants():
 
 
 def test_post_absorption_precondition():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match="no finite absorption time"):
         xr.post_absorption(data(u_l=0.0, u_r=-1.0))
+
+
+def test_underflowing_absorption_time_raises_domain_error():
+    # t_in = 1e-259 * ... / 2e86 underflows to 0, where C t + D = D < 0:
+    # the front's sqrt(Ct+D) is undefined at its own start
+    d = data(n=1, R=1e-259, rho_l=3e64, rho_r=5e89, u_l=2e86, u_r=-6e-63)
+    assert xr.absorption_time(d) == 0.0
+    for build in (xr.post_absorption, lambda d: xr.solve(d, 1.0)):
+        with pytest.raises(DomainError, match="post-absorption constants"):
+            build(d)
 
 
 def test_origin_hit_time_examples():
@@ -481,7 +490,7 @@ def test_evaluate_range_checks():
     plan = xr.solve(WORKED, 6.0)
     with pytest.raises(DomainError):
         xr.evaluate(plan, -0.5, 1.0)
-    with pytest.raises(PlanRangeError):
+    with pytest.raises(DomainError, match="outside"):
         xr.evaluate(plan, 1.0, 6.5)
 
 
@@ -489,10 +498,18 @@ def test_evaluate_grid_range_checks():
     plan = xr.solve(WORKED, 6.0)
     with pytest.raises(DomainError):
         xr.evaluate_grid(plan, np.array([0.5, 1.0, -1e-300]), 1.0)
-    with pytest.raises(PlanRangeError):
+    with pytest.raises(DomainError, match="outside"):
         xr.evaluate_grid(plan, np.array([0.5, 1.0]), 6.5)
-    with pytest.raises(PlanRangeError):
+    with pytest.raises(DomainError, match="outside"):
         xr.evaluate_grid(plan, np.array([0.5, 1.0]), -0.5)
+
+
+def test_evaluate_grid_beyond_float_range_raises():
+    # the atom's sigma = mass(t) xi^{1-n} at xi ~ 1e-300 overflows for n = 3
+    plan = xr.solve(data(n=3, R=1e-300, rho_l=1.0, rho_r=7.3, u_l=1e-300,
+                         u_r=-7.3), 1.0)
+    with pytest.raises(DomainError, match="closed-form constants leave float"):
+        xr.evaluate_grid(plan, np.array([1e-300]), np.array([0.0, 1e-300]))
 
 
 @pytest.mark.parametrize("n, at_origin", [(1, 2.0), (3, math.inf)])
@@ -590,9 +607,9 @@ def test_time_array_range_checks():
     plan = xr.solve(WORKED, 6.0)
     r = np.array([0.5, 1.0])
     for bad in (-0.5, 6.5, math.nan):
-        with pytest.raises(PlanRangeError):
+        with pytest.raises(DomainError, match="outside"):
             xr.evaluate_grid(plan, r, np.array([0.0, bad, 1.0]))
-    with pytest.raises(PlanRangeError):
+    with pytest.raises(DomainError, match="outside"):
         xr.evaluate_grid(xr.solve(WORKED, math.inf), r, np.array([math.inf]))
     with pytest.raises(DomainError):
         xr.evaluate_grid(plan, np.array([0.5, math.nan]), np.array([1.0]))

@@ -11,7 +11,7 @@ import radialsw.sw_ode as so
 import radialsw.verify as vf
 from radialsw.core import (
     SHADOW_WAVE, DomainError, PseudoRiemannData,
-    UnsupportedRegionError, kappa_fluxes,
+    kappa_fluxes,
 )
 
 WORKED = PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
@@ -125,16 +125,41 @@ def test_front_beyond_truncation_radius_rejected():
         vf.conserved_pair(plan, 0.5, 0.9)
 
 
+def test_conserved_totals_beyond_float_range_raise():
+    # a region term S coeff (b - a) overflows at t = 0
+    plan = xr.solve(PseudoRiemannData(4, 1e300, 1e-300, 1e300, 1e-3, -1e-8),
+                    1e-3)
+    with pytest.raises(DomainError, match="conserved totals leave float"):
+        vf.conserved_pair(plan, 0.0, 1e301)
+    # the outflow's velocity ** 2 * t overflows
+    plan = xr.solve(PseudoRiemannData(1, 1.0, 1.0, 1.0, 1e200, 1e200), 1e3)
+    with pytest.raises(DomainError, match="closed-form constants leave float"):
+        vf.conserved_pair(plan, 1e3, 1e204)
+
+
+def test_entropy_check_beyond_float_range_raises():
+    # the shadow front sits at a subnormal radius, where r^{1-n} overflows
+    plan = xr.solve(PseudoRiemannData(4, 5e-324, 5e-324, 5e-324, 0.0, -5e-324),
+                    1e3)
+    with pytest.raises(DomainError, match="closed-form constants leave float"):
+        vf.worst_entropy_lhs(plan)
+
+
 # ---------------------------------------------------------------------------
 # test functions and quadrature
 
 def test_test_function_support_rules():
-    with pytest.raises(UnsupportedRegionError):
+    with pytest.raises(DomainError, match="inside r > 0"):
         vf.TestFunction(r_c=0.2, t_c=1.0, h_r=0.3, h_t=0.5)
-    with pytest.raises(UnsupportedRegionError):
+    with pytest.raises(DomainError, match="inside t >= 0"):
         vf.TestFunction(r_c=1.0, t_c=0.1, h_r=0.3, h_t=0.5)
     with pytest.raises(DomainError):
         vf.TestFunction(r_c=1.0, t_c=1.0, h_r=0.0, h_t=0.5)
+    # half-widths below an ulp of the centre leave a support of one point
+    with pytest.raises(DomainError, match="rounds to a point"):
+        vf.TestFunction(r_c=2e146, t_c=1.0, h_r=3e-4, h_t=0.5)
+    with pytest.raises(DomainError, match="rounds to a point"):
+        vf.TestFunction(r_c=1.0, t_c=1e300, h_r=0.5, h_t=1.0)
 
 
 @pytest.mark.parametrize("field", ["r_c", "t_c", "h_r", "h_t"])
