@@ -6,8 +6,11 @@ last line of each run's standard output, the run's JSON result.  Prints
 each side's median and quartiles of every end-to-end metric that
 CHANGE_DIR/BENCHMARK.json names, the number of pairs the change won on it
 (ties count for neither), and whether the medians differ by more than the
-parent's interquartile range.  Each run's metrics go to standard error as
-it ends.
+parent's interquartile range.  One more row gives each run's minor page
+faults per attempted item, from the ru_minflt of the finished run
+(`resource.getrusage(RUSAGE_CHILDREN)` before and after), which counts
+the run's own set-up subprocesses too, the same number on both sides.
+Each run's metrics go to standard error as it ends.
 
 Make both sides the same way, as sibling directories: a run of the main
 working tree against a copy elsewhere has read differences on code paths
@@ -22,12 +25,14 @@ the change leaves alone.  For example, from the repository root:
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import numpy as np
 
 ROW = "%-24s %-6s %-32s %-32s %-5s %s"
+FAULTS = {"name": "minor_faults_per_item", "better": "lower"}
 
 
 def last_json(stdout: str) -> dict:
@@ -37,20 +42,25 @@ def last_json(stdout: str) -> dict:
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, env=env, capture_output=True, text=True, check=True)
-    return last_json(proc.stdout)
+    res = last_json(proc.stdout)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    res["metrics"][FAULTS["name"]] = {"value": faults / res["attempted"],
+                                      "unit": "count/item"}
+    return res
 
 
 def summarize(parent: list, change: list, end_to_end: list) -> str:
-    """One row per metric of end_to_end (BENCHMARK.json's entries) over
-    the paired results parent[i], change[i]."""
+    """One row per metric of end_to_end (BENCHMARK.json's entries), and
+    one for FAULTS, over the paired results parent[i], change[i]."""
     rows = [ROW % (
         "metric", "better", "parent median [q1, q3]",
         "change median [q1, q3]", "wins", "beyond_parent_iqr")]
-    for spec in end_to_end:
+    for spec in list(end_to_end) + [FAULTS]:
         name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]

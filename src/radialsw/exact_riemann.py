@@ -347,8 +347,8 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
     a call per time.  At r = 0 a power-law region gives rho = coeff for
     n = 1 and inf for n >= 2 (the density coeff r^{1-n} is singular
     there), so samples.csv then holds inf; so does a radius whose r^{1-n}
-    leaves float range.  A front's sigma that leaves float range raises
-    DomainError."""
+    leaves float range.  A front position, vacuum-fan velocity or front
+    sigma that leaves float range raises DomainError."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not (r >= 0).all():
@@ -366,10 +366,14 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
     for k in sorted(set(which.tolist())):
         rows = np.flatnonzero(which == k)
         ph, T = plan.phases[k], ts[rows, None]
-        idx = ph.region_index(r, T)
+        with np.errstate(all="ignore"):
+            xs = [f.xi(T) for f in ph.fronts]
+        if not all(np.isfinite(x).all() for x in xs):
+            raise DomainError("front positions leave float range")
+        idx = ph.region_index(r, T, xs)
         is_vacuum[rows] = np.array([p.is_vacuum for p in ph.regions])[idx]
         m0[rows] = ph.m0(T[:, 0])
-        groups.append((ph, rows, T, idx))
+        groups.append((ph, rows, T, idx, xs))
     # r^{1-n} only where some time has gas; where Python's power overflows
     # (a radius near the smallest double), rho is inf, as at r = 0
     positive = r > 0
@@ -380,14 +384,14 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
     except OverflowError:
         rpow[need] = [_power_or_inf(x, 1 - n) for x in r[need].tolist()]
     with np.errstate(all="ignore"):
-        for ph, rows, T, idx in groups:
+        for ph, rows, T, idx, xs in groups:
             coeff = np.array([p.coeff for p in ph.regions])[idx]
             rho[rows] = np.where(is_vacuum[rows], 0.0, np.where(
                 positive, coeff * rpow, coeff if n == 1 else INF))
             # vacuum: linear interpolation between the bounding front
             # speeds, the origin anchored at (position 0, speed 0)
             vel = np.array([p.velocity for p in ph.regions])[idx]
-            fronts, xs = ph.fronts, [f.xi(T) for f in ph.fronts]
+            fronts = ph.fronts
             for k, prof in enumerate(ph.regions):
                 if not prof.is_vacuum:
                     continue
@@ -398,6 +402,8 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
                     fan = np.where(x1 <= x0, v1,
                                    v0 + (v1 - v0) * (r - x0) / (x1 - x0))
                 vel = np.where(idx == k, fan, vel)
+            if not np.isfinite(vel).all():
+                raise DomainError("vacuum-fan velocities leave float range")
             u[rows] = vel
             for f, x in zip(fronts, xs):
                 if f.kind != SHADOW_WAVE:

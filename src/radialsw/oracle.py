@@ -88,9 +88,12 @@ class ParticleSystem:
     """
 
     def __init__(self, n: int, positions, masses, velocities, time: float = 0.0):
-        positions = np.asarray(positions, dtype=float)
-        masses = np.asarray(masses, dtype=float)
-        velocities = np.asarray(velocities, dtype=float)
+        self._own(n, *(np.array(x, dtype=float)
+                       for x in (positions, masses, velocities)), time)
+
+    def _own(self, n, positions, masses, velocities, time):
+        """Validate float arrays that the system then owns and changes in
+        place: copies from the constructor, fresh arrays from discretize."""
         if positions.ndim != 1 or positions.shape != masses.shape \
                 or positions.shape != velocities.shape:
             raise DomainError("positions, masses, velocities must align")
@@ -107,9 +110,9 @@ class ParticleSystem:
             raise DomainError("time must be finite")
         self.n, self.time, self.m0 = n, float(time), 0.0
         self._deposits: list = []  # (times, masses) arrays per snapshot
-        self._a = velocities * -self.time
-        self._a += positions
-        self._u, self._m = velocities.copy(), masses.copy()
+        if self.time:  # intercepts; at t = 0 the positions (> 0) themselves
+            positions -= velocities * self.time
+        self._a, self._u, self._m = positions, velocities, masses
 
     # -- queries ----------------------------------------------------------
 
@@ -208,20 +211,22 @@ def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:
     k = int(np.searchsorted(edges, data.R))
     if edges[k] != data.R:
         edges = np.insert(edges, k, data.R)
+    # cut a vacuum side off the edges; _own drops other massless cells
+    j = 0 if data.rho_l > 0.0 else k
+    edges = edges[j:None if data.rho_r > 0.0 else k + 1]
+    k -= j
     lo, hi = edges[:-1], edges[1:]
     pos = lo + hi
     pos *= 0.5
     mas = hi - lo
-    keep = mas > 0.0
-    keep[:k] &= data.rho_l > 0.0
-    keep[k:] &= data.rho_r > 0.0
     mas[:k] *= S * data.rho_l
     mas[k:] *= S * data.rho_r
-    vel = np.full(pos.size, data.u_r, dtype=float)
+    vel = np.empty(pos.size)
     vel[:k] = data.u_l
-    if not keep.all():
-        pos, mas, vel = pos[keep], mas[keep], vel[keep]
-    return ParticleSystem(data.n, pos, mas, vel)
+    vel[k:] = data.u_r
+    ps = ParticleSystem.__new__(ParticleSystem)
+    ps._own(data.n, pos, mas, vel, 0.0)
+    return ps
 
 
 def front_extract(ps: ParticleSystem, total: Optional[float] = None

@@ -188,10 +188,15 @@ class TestFunction:
         """(phi, phi_r, phi_t) at (r, t), from one pass over the box
         coordinates X, T clipped to [-1, 1], where all three vanish (as
         zeros of either sign)."""
+        return self._jet(r, t, True)
+
+    def _jet(self, r, t, value):
+        """jet, with phi None unless value (the n = 1 weak form reads none)."""
         X = np.clip((np.asarray(r) - self.r_c) / self.h_r, -1.0, 1.0)
         T = np.clip((np.asarray(t) - self.t_c) / self.h_t, -1.0, 1.0)
         bx, bt = 1 - X ** 2, 1 - T ** 2
-        return ((bx * bt) ** 4, -8.0 * X * bx ** 3 * bt ** 4 / self.h_r,
+        return ((bx * bt) ** 4 if value else None,
+                -8.0 * X * bx ** 3 * bt ** 4 / self.h_r,
                 -8.0 * T * bt ** 3 * bx ** 4 / self.h_t)
 
     def value(self, r, t):
@@ -341,7 +346,7 @@ def _pass_integrals(ph, phi: TestFunction, n: int, mid, half, eps, powers):
     c, u, strip = (v[:, None] for v in _strip_profile(
         ph, eps[pan], rmid, tk, at))
     rr = rmid[:, None] + rhalf[:, None] * _GL_X
-    phi_v, phi_r, phi_t = phi.jet(rr, tk[:, None])
+    phi_v, phi_r, phi_t = phi._jet(rr, tk[:, None], n > 1)
     # rho = c r^{1-n} off the strips (the power taken only there), c on them
     rho = c if n == 1 else c * np.power(rr, 1 - n, out=np.ones(rr.shape),
                                         where=~strip)

@@ -559,8 +559,8 @@ def test_inflow_rates_beyond_float_range_exit_1_before_writing(tmp_path,
 
 
 # Data whose closed forms leave float range or whose test-function support
-# rounds to a point; each of them ended in a traceback, or in nan
-# conservation drifts, before the one error contract.
+# rounds to a point.  Each of them once ended in a traceback, in nan
+# conservation drifts, or in a non-finite u in samples.csv.
 OUT_OF_RANGE = [
     # default_test_function: r_c = 2e146, h_r = 3e-4, so r_lo == r_hi
     ("verify", {"n": 2, "R": 1e-3, "rho_l": 1e300, "rho_r": 1.0,
@@ -581,12 +581,21 @@ OUT_OF_RANGE = [
     ("sample", {"n": 3, "R": 1e-300, "rho_l": 1.0, "rho_r": 7.3,
                 "u_l": 1e-300, "u_r": -7.3}, 1.0,
      {"sample": {"r": [1e-300], "t": [0.0, 1e-300]}}),
+    # the outer fan edge R + u_r t = inf: the fan velocity was inf / inf
+    ("sample", {"n": 4, "R": 1e-300, "rho_l": 1e300, "rho_r": 1e-3,
+                "u_l": 5e-324, "u_r": 1e300}, 1e300,
+     {"sample": {"r": [1e8, 1e300, 1e300], "t": [0.0, 1e300]}}),
+    # finite fan edges, but (u_r - u_l)(r - x0) overflows: u was inf
+    ("sample", {"n": 1, "R": 1.0, "rho_l": 1.0, "rho_r": 1.0,
+                "u_l": 1.0, "u_r": 1e300}, 1.0,
+     {"sample": {"r": [1e299], "t": [1.0]}}),
 ]
 
 
 @pytest.mark.parametrize("command, data, t_max, extra", OUT_OF_RANGE, ids=[
     "collapsed_support", "infinite_totals", "subnormal_front_density",
-    "entropy_brackets", "outflow_momentum", "atom_sigma"])
+    "entropy_brackets", "outflow_momentum", "atom_sigma", "infinite_fan_edge",
+    "fan_velocity_overflow"])
 def test_out_of_range_data_exit_1_before_writing(tmp_path, capsys, command,
                                                  data, t_max, extra):
     code, out = run(tmp_path, command,

@@ -12,7 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 import radialsw.exact_riemann as xr
 import radialsw.oracle as orc
 import radialsw.verify as verify
-from radialsw.core import DomainError, PseudoRiemannData, surface_area
+from radialsw.core import (
+    ALL_VACUUM, CASE_CONTACT, CASE_KINDS, DELTA_SHOCK, VACUUM_FAN,
+    VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK, DomainError, PseudoRiemannData,
+    surface_area,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 WORKED = PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
@@ -180,6 +184,82 @@ def test_discretize_matches_per_cell_loop_bitwise(data, N, r_max):
     for got, want in ((ps.radii(), pos), (ps.masses(), mas),
                       (ps.velocities(), vel)):
         assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def _state_bytes(ps):
+    return (ps.radii().tobytes(), ps.masses().tobytes(),
+            ps.velocities().tobytes(), float(ps.m0).hex(),
+            np.array(ps.absorptions, dtype=float).tobytes())
+
+
+@st.composite
+def discretized_data(draw):
+    """(data, N, r_max, times): every case kind, n = 1..4, N = 2..5000, R on
+    a cell edge or inside a cell, speeds over decades (either sign, or
+    signed zero), and a few snapshot times."""
+    kind = draw(st.sampled_from(CASE_KINDS))
+    N = draw(st.integers(2, 5000))
+    r_max = 10.0 ** draw(st.floats(-2.0, 2.0))
+    edges = np.linspace(0.0, r_max, N + 1)
+    j = draw(st.integers(1, N - 1))
+    frac = draw(st.sampled_from([0.0, 0.0]) | st.floats(0.01, 0.99))
+    R = float(edges[j] + frac * (edges[j + 1] - edges[j]))
+    magnitude = st.floats(-2.0, 2.0).map(lambda v: 10.0 ** v)
+    speed = st.tuples(st.sampled_from([-1.0, 1.0]), magnitude | st.just(0.0))
+    u_l, u_r = (s * v for s, v in (draw(speed), draw(speed)))
+    if kind == DELTA_SHOCK:
+        u_r = u_l - draw(magnitude)
+    elif kind == VACUUM_FAN:
+        u_r = u_l + draw(magnitude)
+    elif kind == CASE_CONTACT:
+        u_r = -u_l if u_l == 0.0 else u_l
+    rho_l, rho_r = (draw(magnitude) for _ in "lr")
+    if kind in (ALL_VACUUM, VACUUM_LEFT_SHOCK):
+        rho_l = 0.0
+    if kind in (ALL_VACUUM, VACUUM_RIGHT_SHOCK):
+        rho_r = 0.0
+    data = PseudoRiemannData(draw(st.integers(1, 4)), R, rho_l, rho_r,
+                             u_l, u_r)
+    scale = r_max / max(abs(u_l), abs(u_r), 1e-2)
+    times = sorted(draw(st.lists(st.floats(0.0, 2.0), min_size=1,
+                                 max_size=3)))
+    return data, N, r_max, [scale * t for t in times]
+
+
+@given(discretized_data())
+@settings(max_examples=100, deadline=None)
+def test_discretize_hands_over_what_the_constructor_builds(case):
+    data, N, r_max, times = case
+    ps = orc.discretize(data, N, r_max)
+    ref = orc.ParticleSystem(data.n, *_discretize_per_cell(data, N, r_max))
+    assert _state_bytes(ps) == _state_bytes(ref)
+    for t in times:
+        ps.run_until(t)
+        ref.run_until(t)
+        assert _state_bytes(ps) == _state_bytes(ref)
+
+
+def test_discretize_keeps_the_position_check():
+    # the cell [0, 5e-324] has its midpoint at 0
+    d = PseudoRiemannData(n=1, R=5e-324, rho_l=1e300, rho_r=1e300,
+                          u_l=1.0, u_r=-1.0)
+    with pytest.raises(DomainError,
+                       match="positions must be > 0 and strictly increasing"):
+        orc.discretize(d, 200, 1e-323)
+
+
+def test_constructor_copies_its_inputs():
+    pos = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+    mas = np.array([1.0, 1.0, 0.5, 1.0, 2.0])
+    vel = np.array([-1.0, 0.5, 0.0, -0.5, -0.25])
+    given_arrays = [x.copy() for x in (pos, mas, vel)]
+    ps = orc.ParticleSystem(1, pos, mas, vel, time=0.25)
+    # the intercepts x - u t have the bits of u * -t + x
+    assert ps._a.tobytes() == (vel * -0.25 + pos).tobytes()
+    ps.run_until(3.0)
+    assert ps.absorptions and ps.alive_count < 4
+    for x, was in zip((pos, mas, vel), given_arrays):
+        assert x.tobytes() == was.tobytes()
 
 
 def test_discretize_vacuum_and_errors():

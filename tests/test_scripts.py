@@ -67,22 +67,43 @@ def test_output_digests_subset(tmp_path):
             assert all(float.fromhex(v) >= 0.0 for v in record["ode"].values())
 
 
-def test_bench_pairs_summary_on_canned_runs():
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
 
-    def line(throughput, p50):
+
+def test_bench_pairs_counts_the_runs_page_faults(tmp_path):
+    # a stand-in run that touches 4000 fresh pages over its 4 items
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\nbuf = bytearray(4000 * 4096)\n"
+        "buf[::4096] = b'x' * 4000\n"
+        "print(json.dumps({'attempted': 4, 'metrics': {}}))\n")
+    res = _bench_pairs().run_once(str(tmp_path), "oracle_ladder", 1, 1.0)
+    assert res["metrics"]["minor_faults_per_item"]["unit"] == "count/item"
+    assert res["metrics"]["minor_faults_per_item"]["value"] >= 1000
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    bench_pairs = _bench_pairs()
+
+    def line(throughput, p50, faults):
         return "oracle_ladder seed=13 runs=2000\n" + json.dumps({
             "correct": True, "attempted": 2000, "failed": 0, "metrics": {
                 "throughput_items_per_s": {"value": throughput, "unit": "1/s"},
-                "latency_p50_ms": {"value": p50, "unit": "ms"}}}) + "\n"
+                "latency_p50_ms": {"value": p50, "unit": "ms"},
+                "minor_faults_per_item": {"value": faults,
+                                          "unit": "count/item"}}}) + "\n"
 
-    parent = [bench_pairs.last_json(line(x, 4.0))
-              for x in (180.0, 184.0, 186.0, 188.0, 190.0)]
-    change = [bench_pairs.last_json(line(x, y)) for x, y in (
-        (200.0, 3.5), (205.0, 4.0), (170.0, 4.5), (210.0, 3.7), (208.0, 3.9))]
+    parent = [bench_pairs.last_json(line(x, 4.0, f)) for x, f in (
+        (180.0, 230.0), (184.0, 236.0), (186.0, 240.0), (188.0, 232.0),
+        (190.0, 234.0))]
+    change = [bench_pairs.last_json(line(x, y, f)) for x, y, f in (
+        (200.0, 3.5, 90.0), (205.0, 4.0, 250.0), (170.0, 4.5, 88.0),
+        (210.0, 3.7, 94.0), (208.0, 3.9, 92.0))]
     rows = bench_pairs.summarize(parent, change, [
         {"name": "throughput_items_per_s", "better": "higher"},
         {"name": "latency_p50_ms", "better": "lower"}]).splitlines()
@@ -92,3 +113,8 @@ def test_bench_pairs_summary_on_canned_runs():
     # a tie (4.0 on both sides) counts for neither side
     assert rows[2].split() == ["latency_p50_ms", "lower", "4", "[4,", "4]",
                                "3.9", "[3.7,", "4]", "3/5", "yes"]
+    # the page-fault row follows the benchmark's own metrics
+    assert rows[3].split() == ["minor_faults_per_item", "lower", "234",
+                               "[232,", "236]", "92", "[90,", "94]", "4/5",
+                               "yes"]
+    assert len(rows) == 4
