@@ -366,13 +366,10 @@ def _sample_pieces(plan: WavePlan, t_grid, r_grid) -> list:
     rows[..., 3] = u_text.reshape(K, m)
     rows[..., 4] = np.where(g.is_vacuum, ("1," + m0_text + ",,\n")[:, None],
                             ("0," + m0_text + ",,\n")[:, None])
-    for k, atoms in enumerate(g.atoms):
-        if atoms.count(None) < m:
-            for j, a in enumerate(atoms):
-                if a is not None:
-                    rows[k, j, 4] = "%d,%s%s,%s,%s\n" % (
-                        g.is_vacuum[k, j], m0_text[k], _fmt(a.radius),
-                        _fmt(a.sigma), _fmt(a.total_mass))
+    for (k, j), a in g.atoms.items():
+        rows[k, j, 4] = "%d,%s%s,%s,%s\n" % (
+            g.is_vacuum[k, j], m0_text[k], _fmt(a.radius), _fmt(a.sigma),
+            _fmt(a.total_mass))
     return rows.ravel().tolist()
 
 

@@ -12,6 +12,7 @@ demand.  All types here are immutable after construction.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -75,7 +76,8 @@ class PseudoRiemannData:
     """One jump at radius R between two r^{1-n} power-law states.
 
     rho_l, rho_r are the density coefficients: rho(r) = coeff * r^{1-n}.
-    u_l, u_r are the (constant) radial velocities on each side.
+    u_l, u_r are the (constant) radial velocities on each side.  R, the
+    coefficients and the velocities must be finite.
     """
     n: int
     R: float
@@ -87,12 +89,12 @@ class PseudoRiemannData:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise DomainError("n must be an integer >= 1, got %r" % (self.n,))
-        if not (self.R > 0):
-            raise DomainError("R must be positive, got %r" % (self.R,))
-        if not (self.rho_l >= 0 and self.rho_r >= 0):
-            raise DomainError("density coefficients must be >= 0, not nan")
-        if math.isnan(self.u_l) or math.isnan(self.u_r):
-            raise DomainError("velocities must not be nan")
+        if not (0 < self.R < math.inf):
+            raise DomainError("R must be finite and > 0, got %r" % (self.R,))
+        if not (0 <= self.rho_l < math.inf and 0 <= self.rho_r < math.inf):
+            raise DomainError("density coefficients must be finite and >= 0")
+        if not (math.isfinite(self.u_l) and math.isfinite(self.u_r)):
+            raise DomainError("velocities must be finite")
         object.__setattr__(self, "n", int(self.n))
 
 
@@ -262,12 +264,25 @@ class WavePlan:
             raise DomainError("unknown case kind %r" % (self.case,))
 
     def phase_at(self, t: float) -> Phase:
-        if t < 0:
-            raise DomainError("negative time")
-        for ph in self.phases:
-            if ph.t_start <= t < ph.t_end:
-                return ph
-        raise DomainError("no phase covers t=%r" % (t,))
+        """The phase holding t: the last one starting at or before t, if it
+        ends after t, else DomainError; phase_groups' rule for one time."""
+        k = bisect.bisect_right([ph.t_start for ph in self.phases], t) - 1
+        if k < 0 or not t < self.phases[k].t_end:
+            raise DomainError("no phase covers t=%r" % (t,))
+        return self.phases[k]
+
+    def phase_groups(self, ts):
+        """[(phase, rows)] in time order for each phase holding some times
+        of the float array ts, rows indexing ts in increasing order: the
+        rule of phase_at, with numpy's searchsorted for bisect."""
+        which = np.searchsorted([ph.t_start for ph in self.phases], ts,
+                                "right") - 1
+        ends = np.array([ph.t_end for ph in self.phases])[which]
+        out = ts[(which < 0) | ~(ts < ends)]
+        if out.size:
+            raise DomainError("no phase covers t=%r" % (float(out[0]),))
+        return [(self.phases[k], np.flatnonzero(which == k))
+                for k in sorted(set(which.tolist()))]
 
     def m0(self, t: float) -> float:
         """Origin point mass m0(t): the running integral of the inflow flux

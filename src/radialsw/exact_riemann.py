@@ -176,16 +176,18 @@ def post_absorption(data: PseudoRiemannData) -> PostAbsorptionSW:
     |S^{n-1}| xi^{n-1} sigma are continuous at t_in.  There C t + D =
     ((sqrt(rho_l) + sqrt(rho_r)) / (sqrt(rho_l) (u_l - u_r)))^2 > 0; a
     t_in that underflows to 0 can leave it < 0, where the front is
-    undefined, and that raises DomainError.
+    undefined, and that raises DomainError; so does a denominator of D
+    that overflows, which would round D to 0.
     """
     t_in = absorption_time(data)
     if t_in is None:
         raise DomainError("datum has no finite absorption time")
     C = 2.0 * data.rho_r / (data.R * data.rho_l * (data.u_l - data.u_r))
-    D = (data.rho_l - data.rho_r) / (data.rho_l * (data.u_l - data.u_r) ** 2)
+    den = data.rho_l * (data.u_l - data.u_r) ** 2
+    D = (data.rho_l - data.rho_r) / den
     E = (data.R / data.rho_r) * (data.rho_r - data.rho_l)
-    if not (0.0 < C < INF and math.isfinite(D) and math.isfinite(E)
-            and C * t_in + D >= 0.0):
+    if not (0.0 < C < INF and den < INF and math.isfinite(D)
+            and math.isfinite(E) and C * t_in + D >= 0.0):
         raise DomainError("post-absorption constants leave float range")
     return PostAbsorptionSW(data.u_r, C, D, E, data.rho_r, data.n)
 
@@ -218,7 +220,7 @@ def origin_hit_time(data: PseudoRiemannData) -> Optional[float]:
 
 def _ledger_slopes(inner: RegionProfile, S: float):
     """m0 and p0 rates while `inner` is the region adjacent to the origin."""
-    if inner.is_vacuum or inner.coeff == 0.0:
+    if inner.is_vacuum:
         return 0.0, 0.0
     u = inner.velocity
     m0_slope = S * inner.coeff * max(0.0, -u)
@@ -321,34 +323,32 @@ def _power_or_inf(x: float, e: float) -> float:
 
 @dataclass(frozen=True)
 class GridSample:
-    """Field values on radii r and times t.  For a float t: arrays rho, u
-    and is_vacuum over r, the origin mass m0, and atoms, per radius the
-    front atom or None.  For an array of times: rho, u and is_vacuum of
-    shape (len(t), len(r)), m0 per time and atoms per time."""
+    """Field values on radii r and times t: rho, u and is_vacuum of shape
+    (len(t), len(r)), the origin mass m0 per time, and atoms, the front
+    atom at each (time index, radius index) that has one."""
     rho: np.ndarray
     u: np.ndarray
     is_vacuum: np.ndarray
-    m0: float | np.ndarray
-    atoms: list
+    m0: np.ndarray
+    atoms: dict
 
 
 @in_float_range
 def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
     """Sample the plan at every radius of the 1-D array r and every time of
-    t, a float or a 1-D array: regular fields, origin mass, and per point
-    the front atom when the radius lies within tolerance of a shadow front
-    (the first such front).  A float t gives the one-row view of the array
-    form.
+    t, a 1-D array or a float (one time): regular fields, origin mass, and
+    per point the front atom when the radius lies within tolerance of a
+    shadow front (the first such front).
 
-    The times are grouped by phase; region index, rho, u, the vacuum-fan
-    velocity and m0 take one broadcast per phase, and r^{1-n} is computed
-    once per radius, with Python's float power rather than numpy's, which
-    differs from it by an ulp on some radii.  Every value has the bits of
-    a call per time.  At r = 0 a power-law region gives rho = coeff for
-    n = 1 and inf for n >= 2 (the density coeff r^{1-n} is singular
-    there), so samples.csv then holds inf; so does a radius whose r^{1-n}
-    leaves float range.  A front position, vacuum-fan velocity or front
-    sigma that leaves float range raises DomainError."""
+    r^{1-n} is computed once per radius, with Python's float power rather
+    than numpy's, which differs from it by an ulp on some radii; then the
+    times of each phase take one broadcast for region index, rho, u, the
+    vacuum-fan velocity and m0.  Every value has the bits of a call per
+    time.  At r = 0 a power-law region gives rho = coeff for n = 1 and inf
+    for n >= 2 (the density coeff r^{1-n} is singular there), so
+    samples.csv then holds inf; so does a radius whose r^{1-n} leaves
+    float range.  A front position, vacuum-fan velocity or front sigma
+    that leaves float range raises DomainError."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not (r >= 0).all():
@@ -358,40 +358,31 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
         raise DomainError("t=%r outside [0, t_max=%r]"
                           % (float(bad[0]), plan.t_max))
     n, R, S = plan.data.n, plan.data.R, surface_area(plan.data.n)
-    which = np.searchsorted([ph.t_start for ph in plan.phases], ts, "right") - 1
-    rho, u = np.zeros((ts.size, r.size)), np.zeros((ts.size, r.size))
-    is_vacuum, m0 = np.zeros(rho.shape, dtype=bool), np.zeros(ts.size)
-    atoms = [[None] * r.size for _ in range(ts.size)]
-    groups = []
-    for k in sorted(set(which.tolist())):
-        rows = np.flatnonzero(which == k)
-        ph, T = plan.phases[k], ts[rows, None]
-        with np.errstate(all="ignore"):
-            xs = [f.xi(T) for f in ph.fronts]
-        if not all(np.isfinite(x).all() for x in xs):
-            raise DomainError("front positions leave float range")
-        idx = ph.region_index(r, T, xs)
-        is_vacuum[rows] = np.array([p.is_vacuum for p in ph.regions])[idx]
-        m0[rows] = ph.m0(T[:, 0])
-        groups.append((ph, rows, T, idx, xs))
-    # r^{1-n} only where some time has gas; where Python's power overflows
-    # (a radius near the smallest double), rho is inf, as at r = 0
+    # where Python's power overflows (a radius near the smallest double),
+    # rho is inf, as at r = 0
     positive = r > 0
-    need = positive & ~is_vacuum.all(axis=0)
-    rpow = np.zeros(r.shape)
+    rpow, rs = np.zeros(r.shape), r[positive].tolist()
     try:
-        rpow[need] = [x ** (1 - n) for x in r[need].tolist()]
+        rpow[positive] = [x ** (1 - n) for x in rs]
     except OverflowError:
-        rpow[need] = [_power_or_inf(x, 1 - n) for x in r[need].tolist()]
+        rpow[positive] = [_power_or_inf(x, 1 - n) for x in rs]
+    rho, u = np.zeros((ts.size, r.size)), np.zeros((ts.size, r.size))
+    is_vacuum, m0, atoms = np.zeros(rho.shape, dtype=bool), np.zeros(ts.size), {}
     with np.errstate(all="ignore"):
-        for ph, rows, T, idx, xs in groups:
+        for ph, rows in plan.phase_groups(ts):
+            T, fronts = ts[rows, None], ph.fronts
+            xs = [f.xi(T) for f in fronts]
+            if not all(np.isfinite(x).all() for x in xs):
+                raise DomainError("front positions leave float range")
+            idx = ph.region_index(r, T, xs)
+            is_vacuum[rows] = np.array([p.is_vacuum for p in ph.regions])[idx]
+            m0[rows] = ph.m0(T[:, 0])
             coeff = np.array([p.coeff for p in ph.regions])[idx]
             rho[rows] = np.where(is_vacuum[rows], 0.0, np.where(
                 positive, coeff * rpow, coeff if n == 1 else INF))
             # vacuum: linear interpolation between the bounding front
             # speeds, the origin anchored at (position 0, speed 0)
             vel = np.array([p.velocity for p in ph.regions])[idx]
-            fronts = ph.fronts
             for k, prof in enumerate(ph.regions):
                 if not prof.is_vacuum:
                     continue
@@ -410,14 +401,10 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
                     continue
                 hit = np.abs(r - x) < ATOM_POSITION_RTOL * np.where(x > R, x, R)
                 for i in np.flatnonzero(hit.any(axis=1)).tolist():
-                    ti = float(T[i, 0])
+                    ti, k = float(T[i, 0]), int(rows[i])
                     atom = Atom(float(x[i, 0]), f.sigma(ti), S * f.mass(ti))
-                    row = atoms[rows[i]]
                     for j in np.flatnonzero(hit[i]).tolist():
-                        if row[j] is None:
-                            row[j] = atom
-    if np.ndim(t) == 0:
-        return GridSample(rho[0], u[0], is_vacuum[0], float(m0[0]), atoms[0])
+                        atoms.setdefault((k, j), atom)
     return GridSample(rho, u, is_vacuum, m0, atoms)
 
 
@@ -426,6 +413,6 @@ def evaluate(plan: WavePlan, r: float, t: float) -> SolutionSample:
     evaluate_grid, with the same errors.  At r = 0 a power-law region gives
     rho = coeff for n = 1 and inf for n >= 2."""
     g = evaluate_grid(plan, [r], t)
-    return SolutionSample(r=r, t=t, rho=float(g.rho[0]), u=float(g.u[0]),
-                          is_vacuum=bool(g.is_vacuum[0]), m0=g.m0,
-                          atom=g.atoms[0])
+    return SolutionSample(r=r, t=t, rho=float(g.rho[0, 0]), u=float(g.u[0, 0]),
+                          is_vacuum=bool(g.is_vacuum[0, 0]), m0=float(g.m0[0]),
+                          atom=g.atoms.get((0, 0)))

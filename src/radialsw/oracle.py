@@ -87,11 +87,11 @@ class ParticleSystem:
     computed from them when read, so appending to it changes nothing.
     """
 
-    def __init__(self, n: int, positions, masses, velocities, time: float = 0.0):
-        self._own(n, *(np.array(x, dtype=float)
-                       for x in (positions, masses, velocities)), time)
+    def __init__(self, positions, masses, velocities, time: float = 0.0):
+        self._own(*(np.array(x, dtype=float)
+                    for x in (positions, masses, velocities)), time)
 
-    def _own(self, n, positions, masses, velocities, time):
+    def _own(self, positions, masses, velocities, time):
         """Validate float arrays that the system then owns and changes in
         place: copies from the constructor, fresh arrays from discretize."""
         if positions.ndim != 1 or positions.shape != masses.shape \
@@ -108,7 +108,7 @@ class ParticleSystem:
                                              velocities[keep])
         if not math.isfinite(time):
             raise DomainError("time must be finite")
-        self.n, self.time, self.m0 = n, float(time), 0.0
+        self.time, self.m0 = float(time), 0.0
         self._deposits: list = []  # (times, masses) arrays per snapshot
         if self.time:  # intercepts; at t = 0 the positions (> 0) themselves
             positions -= velocities * self.time
@@ -205,6 +205,9 @@ def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:
         raise DomainError("need N >= 2 cells")
     if not (r_max > data.R):
         raise DomainError("r_max must exceed the jump radius")
+    if not (r_max / N >= np.finfo(float).smallest_normal):
+        raise DomainError("grid spacing r_max/N=%r is subnormal, where cell"
+                          " edges can repeat or reorder" % (r_max / N,))
     S = surface_area(data.n)
     edges = np.linspace(0.0, r_max, N + 1)
     # split the cell that straddles R there; pieces [0, k) lie left of R
@@ -225,7 +228,7 @@ def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:
     vel[:k] = data.u_l
     vel[k:] = data.u_r
     ps = ParticleSystem.__new__(ParticleSystem)
-    ps._own(data.n, pos, mas, vel, 0.0)
+    ps._own(pos, mas, vel, 0.0)
     return ps
 
 

@@ -301,12 +301,9 @@ def _weak_integrals(plan: WavePlan, phi: TestFunction, ladder, powers):
     rung, a, b = np.array(panels, dtype=float).reshape(-1, 3).T
     rung = rung.astype(int)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    by_phase = {}
-    for j, m in enumerate(mid.tolist()):
-        by_phase.setdefault(id(ph := plan.phase_at(m)), (ph, []))[1].append(j)
     per_panel = {p: np.zeros(mid.size) for p in powers}
-    for ph, rows in by_phase.values():
-        for i in range(0, len(rows), _PANELS_PER_PASS):
+    for ph, rows in plan.phase_groups(mid):
+        for i in range(0, rows.size, _PANELS_PER_PASS):
             part = rows[i:i + _PANELS_PER_PASS]
             for p, v in _pass_integrals(
                     ph, phi, plan.data.n, mid[part], half[part],

@@ -174,6 +174,34 @@ def test_nan_data_exits_2_without_plan(tmp_path, capsys, field):
     assert not (out / "plan.txt").exists()
 
 
+@pytest.mark.parametrize("command, field", [
+    ("solve", "R"), ("solve", "rho_r"), ("oracle", "u_l"), ("sample", "u_r")])
+def test_infinite_data_exits_2_without_output(tmp_path, capsys, command,
+                                              field):
+    # JSON 1e400 parses as inf; R = inf once wrote inf into plan.txt, and
+    # u_l = inf stopped oracle with a float-range message
+    cfg = pathlib.Path(write_config(tmp_path, data=dict(WORKED, **{
+        field: math.inf})))
+    cfg.write_text(cfg.read_text().replace("Infinity", "1e400"))
+    code, out = run(tmp_path, command, str(cfg))
+    assert code == 2
+    assert "bad initial data" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("command", ["solve", "sample", "oracle"])
+def test_overflowing_post_absorption_D_exits_1_before_writing(
+        tmp_path, capsys, command):
+    # rho_l (u_l - u_r)^2 = 4e310: D once read 0, and the front's speed at
+    # t_in 4.46e152 where continuity gives 9.9998e149
+    data = {"n": 1, "R": 1.0, "rho_l": 1e10, "rho_r": 1.0,
+            "u_l": 1e150, "u_r": -1e150}
+    code, out = run(tmp_path, command, write_config(tmp_path, data=data))
+    assert code == 1
+    assert "post-absorption constants" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
 @pytest.mark.parametrize("verify", [
     {"conservation": "false", "weak_ladder": "no"},
     {"entropy": 0},
@@ -383,18 +411,17 @@ def per_time_sample_text(plan, t_grid, r_grid):
     chunks = []
     for t in map(float, t_grid):
         g = exact.evaluate_grid(plan, r_grid, t)
-        m0_text = "," + cli._fmt(g.m0) + ","
+        m0_text = "," + cli._fmt(g.m0[0]) + ","
         solid, vacuum = ",0" + m0_text + ",,\n", ",1" + m0_text + ",,\n"
-        flags = g.is_vacuum.tolist()
+        flags = g.is_vacuum[0].tolist()
         tails = [vacuum if v else solid for v in flags]
-        for j, a in enumerate(g.atoms):
-            if a is not None:
-                tails[j] = "%s%s%s,%s,%s\n" % (
-                    ",1" if flags[j] else ",0", m0_text, cli._fmt(a.radius),
-                    cli._fmt(a.sigma), cli._fmt(a.total_mass))
+        for (_, j), a in g.atoms.items():
+            tails[j] = "%s%s%s,%s,%s\n" % (
+                ",1" if flags[j] else ",0", m0_text, cli._fmt(a.radius),
+                cli._fmt(a.sigma), cli._fmt(a.total_mass))
         chunks.append("".join(map("".join, zip(
-            r_text, repeat("," + cli._fmt(t) + ","), fmt_all(g.rho),
-            repeat(","), fmt_all(g.u), tails))))
+            r_text, repeat("," + cli._fmt(t) + ","), fmt_all(g.rho[0]),
+            repeat(","), fmt_all(g.u[0]), tails))))
     return "".join(chunks)
 
 

@@ -102,6 +102,15 @@ def test_nan_data_rejected(field):
         PseudoRiemannData(**dict(fields, **{field: math.nan}))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("R", math.inf), ("rho_l", math.inf), ("rho_r", math.inf),
+    ("u_l", math.inf), ("u_r", -math.inf)])
+def test_non_finite_data_rejected(field, value):
+    fields = dict(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
+    with pytest.raises(DomainError, match="finite"):
+        PseudoRiemannData(**dict(fields, **{field: value}))
+
+
 def test_plan_case_must_be_a_case_kind():
     ph = Phase(0.0, math.inf, (), (RegionProfile.vacuum(),))
     data = PseudoRiemannData(n=1, R=1, rho_l=0, rho_r=0, u_l=0, u_r=0)
@@ -157,6 +166,36 @@ def test_phase_lookup_half_open():
     assert plan.m0(2.0) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         plan.phase_at(-0.1)
+
+
+def test_phase_groups_match_phase_at():
+    plan = _tiny_plan()
+    ts = np.array([3.0, 0.5, 2.0, 0.0, 1.9999999999999998, 2.0])
+    groups = [(ph, rows.tolist()) for ph, rows in plan.phase_groups(ts)]
+    assert groups == [(plan.phases[0], [1, 3, 4]), (plan.phases[1], [0, 2, 5])]
+    for ph, rows in groups:
+        assert all(plan.phase_at(float(ts[j])) is ph for j in rows)
+    assert list(plan.phase_groups(np.array([]))) == []
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError, match="no phase covers t=%r" % bad):
+            list(plan.phase_groups(np.array([1.0, bad])))
+        with pytest.raises(DomainError, match="no phase covers t=%r" % bad):
+            plan.phase_at(bad)
+
+
+def test_phase_rule_on_a_gap():
+    # one rule for both lookups: the last phase starting at or before t,
+    # which must end after t
+    region = (RegionProfile.power_law(1.0, 0.0),)
+    phases = (Phase(0.0, 1.0, (), region), Phase(2.0, math.inf, (), region))
+    data = PseudoRiemannData(n=1, R=1, rho_l=1, rho_r=1, u_l=0, u_r=0)
+    plan = WavePlan(data=data, case="Contact", phases=phases, events={},
+                    t_max=5.0)
+    assert [plan.phase_at(t) for t in (0.5, 2.0)] == list(phases)
+    with pytest.raises(DomainError, match="no phase covers t=1.5"):
+        plan.phase_at(1.5)
+    with pytest.raises(DomainError, match="no phase covers t=1.5"):
+        plan.phase_groups(np.array([0.5, 1.5, 2.0]))
 
 
 def test_region_index_picks_outer_side_on_front():
@@ -268,3 +307,5 @@ def test_plan_range_error_via_phase_at():
                     events={}, t_max=5.0)
     with pytest.raises(DomainError, match="no phase covers"):
         plan.phase_at(7.0)
+    with pytest.raises(DomainError, match="no phase covers t=7.0"):
+        list(plan.phase_groups(np.array([1.0, 7.0, 5.0])))

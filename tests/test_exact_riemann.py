@@ -200,6 +200,10 @@ def test_origin_hit_time_on_cancellation_datum():
 
 def test_origin_hit_time_beyond_float_range_is_none():
     assert xr.origin_hit_time(data(u_l=1.0, u_r=-5e-324)) is None
+    # R (sqrt(rho_r) + sqrt(rho_l)) = inf: t_in is infinite
+    d = data(R=1e300, rho_l=1e300, rho_r=1e-300)
+    assert xr.absorption_time(d) == math.inf
+    assert xr.origin_hit_time(d) is None
 
 
 def test_post_absorption_times_at_matches_xi():
@@ -504,6 +508,16 @@ def test_evaluate_grid_range_checks():
         xr.evaluate_grid(plan, np.array([0.5, 1.0]), -0.5)
 
 
+def test_post_absorption_rejects_overflowing_D_denominator():
+    # rho_l (u_l - u_r)^2 = 4e310: D read 0 where it is 2.5e-301, and the
+    # front's speed at t_in 4.46e152 where continuity gives 9.9998e149
+    d = data(n=1, rho_l=1e10, u_l=1e150, u_r=-1e150)
+    with pytest.raises(DomainError, match="post-absorption constants"):
+        xr.post_absorption(d)
+    with pytest.raises(DomainError, match="post-absorption constants"):
+        xr.solve(d, 1.0)
+
+
 def test_evaluate_grid_beyond_float_range_raises():
     # the atom's sigma = mass(t) xi^{1-n} at xi ~ 1e-300 overflows for n = 3
     plan = xr.solve(data(n=3, R=1e-300, rho_l=1.0, rho_r=7.3, u_l=1e-300,
@@ -519,20 +533,20 @@ def test_density_at_origin(n, at_origin):
     s = xr.evaluate(plan, 0.0, 0.2)   # the front is at 1 - sqrt(2) t
     assert not s.is_vacuum and s.rho == at_origin and s.u == -1.0
     g = xr.evaluate_grid(plan, np.array([0.0, 0.5]), 0.2)
-    assert g.rho[0] == at_origin and not g.is_vacuum[0]
-    assert g.rho[1] == 2.0 * 0.5 ** (1 - n)
+    assert g.rho[0, 0] == at_origin and not g.is_vacuum[0, 0]
+    assert g.rho[0, 1] == 2.0 * 0.5 ** (1 - n)
 
 
 def test_evaluate_grid_matches_fields_and_atoms():
     plan = xr.solve(WORKED, 6.0)
     g = xr.evaluate_grid(plan, np.array([0.25, 0.7, 1.0, 1.5]), 0.5)
-    assert g.is_vacuum.tolist() == [True, False, False, False]
-    assert g.u.tolist() == [0.5, 1.0, -1.0, -1.0]   # fan speed r/t, then regions
-    assert g.rho[1] == 1.0 / 0.7 and g.rho[3] == 1.0 / 1.5
-    assert g.atoms[:2] == [None, None] and g.atoms[3] is None
-    assert g.atoms[2].radius == 1.0
-    assert g.atoms[2].sigma == pytest.approx(1.0, rel=1e-14)
-    assert g.m0 == 0.0
+    assert g.is_vacuum.tolist() == [[True, False, False, False]]
+    assert g.u.tolist() == [[0.5, 1.0, -1.0, -1.0]]  # fan speed r/t, then regions
+    assert g.rho[0, 1] == 1.0 / 0.7 and g.rho[0, 3] == 1.0 / 1.5
+    assert list(g.atoms) == [(0, 2)]
+    assert g.atoms[0, 2].radius == 1.0
+    assert g.atoms[0, 2].sigma == pytest.approx(1.0, rel=1e-14)
+    assert g.m0.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -544,7 +558,7 @@ def test_evaluate_grid_density_bits_match_python_power(n):
     ph = plan.phase_at(0.0)
     expected = [ph.regions[ph.region_index(r, 0.0)].coeff * r ** (1 - n)
                 for r in radii.tolist()]
-    assert g.rho.tolist() == expected
+    assert g.rho[0].tolist() == expected
 
 
 def test_evaluate_grid_silent_on_overflow_and_vacuum():
@@ -553,8 +567,8 @@ def test_evaluate_grid_silent_on_overflow_and_vacuum():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = xr.evaluate_grid(plan, np.array([0.0, 1e-10, 1.0, 1.5, math.inf]), 0.5)
-    assert g.rho[:2].tolist() == [math.inf, math.inf]
-    assert g.is_vacuum.tolist() == [False, False, True, False, False]
+    assert g.rho[0, :2].tolist() == [math.inf, math.inf]
+    assert g.is_vacuum[0].tolist() == [False, False, True, False, False]
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -578,7 +592,7 @@ def test_evaluate_grid_needs_sigma_only_on_an_atom():
     front = plan.phase_at(3.6).fronts[0]
     assert front.kind == SHADOW_WAVE and front.xi(3.6) == 0.0
     g = xr.evaluate_grid(plan, np.array([0.5, 1.0, 2.0]), 3.6)
-    assert g.atoms == [None, None, None]
+    assert g.atoms == {}
 
 
 def _bits(values):
@@ -593,14 +607,15 @@ def test_time_array_matches_per_time_calls(sample):
     plan, r, t = sample
     g = xr.evaluate_grid(plan, r, t)
     assert g.rho.shape == g.u.shape == g.is_vacuum.shape == (t.size, r.size)
-    assert len(g.atoms) == t.size
+    assert g.m0.shape == (t.size,)
     for k, tk in enumerate(t.tolist()):
         one = xr.evaluate_grid(plan, r, tk)
-        assert _bits(g.rho[k]) == _bits(one.rho)
-        assert _bits(g.u[k]) == _bits(one.u)
-        assert g.is_vacuum[k].tolist() == one.is_vacuum.tolist()
-        assert _bits(g.m0[k]) == _bits(one.m0)
-        assert g.atoms[k] == one.atoms
+        assert _bits(g.rho[k]) == _bits(one.rho[0])
+        assert _bits(g.u[k]) == _bits(one.u[0])
+        assert g.is_vacuum[k].tolist() == one.is_vacuum[0].tolist()
+        assert _bits(g.m0[k:k + 1]) == _bits(one.m0)
+        assert {j: a for (i, j), a in g.atoms.items() if i == k} == {
+            j: a for (_, j), a in one.atoms.items()}
 
 
 def test_time_array_range_checks():

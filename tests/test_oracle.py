@@ -27,15 +27,15 @@ WORKED = PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
 
 def test_constructor_validation():
     with pytest.raises(DomainError):
-        orc.ParticleSystem(2, [1.0, 2.0], [1.0], [0.0, 0.0])
+        orc.ParticleSystem([1.0, 2.0], [1.0], [0.0, 0.0])
     with pytest.raises(DomainError):
-        orc.ParticleSystem(2, [2.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+        orc.ParticleSystem([2.0, 1.0], [1.0, 1.0], [0.0, 0.0])
     with pytest.raises(DomainError):
-        orc.ParticleSystem(2, [1.0, 2.0], [1.0, -1.0], [0.0, 0.0])
+        orc.ParticleSystem([1.0, 2.0], [1.0, -1.0], [0.0, 0.0])
 
 
 def test_head_on_merge_conserves_momentum():
-    ps = orc.ParticleSystem(1, [1.0, 3.0], [1.0, 1.0], [1.0, -1.0])
+    ps = orc.ParticleSystem([1.0, 3.0], [1.0, 1.0], [1.0, -1.0])
     ps.run_until(2.0)
     assert ps.alive_count == 1
     assert ps.radii()[0] == pytest.approx(2.0, abs=1e-12)
@@ -45,7 +45,7 @@ def test_head_on_merge_conserves_momentum():
 
 
 def test_origin_absorption():
-    ps = orc.ParticleSystem(1, [1.0], [1.5], [-2.0])
+    ps = orc.ParticleSystem([1.0], [1.5], [-2.0])
     ps.run_until(1.0)
     assert ps.alive_count == 0
     assert ps.m0 == pytest.approx(1.5)
@@ -56,7 +56,7 @@ def test_origin_absorption():
 
 
 def test_neighbours_rounded_onto_one_point_merge():
-    ps = orc.ParticleSystem(1, [0.05, 0.05000000000000001], [1, 1], [1, 1])
+    ps = orc.ParticleSystem([0.05, 0.05000000000000001], [1, 1], [1, 1])
     ps.run_until(1.0)
     assert ps.radii().tolist() == [1.05]
     assert ps.masses().tolist() == [2.0]
@@ -65,7 +65,7 @@ def test_neighbours_rounded_onto_one_point_merge():
 def test_massless_particles_do_not_block_matter():
     # the massless pair meets at r = 1.5, t = 0.5; the massive particle
     # passes that point and reaches the origin at t = 2
-    ps = orc.ParticleSystem(1, [1.0, 2.0, 10.0], [0.0, 0.0, 1.0],
+    ps = orc.ParticleSystem([1.0, 2.0, 10.0], [0.0, 0.0, 1.0],
                             [1.0, -1.0, -5.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -76,7 +76,7 @@ def test_massless_particles_do_not_block_matter():
 
 
 def test_run_until_rejects_backwards():
-    ps = orc.ParticleSystem(1, [1.0], [1.0], [0.0])
+    ps = orc.ParticleSystem([1.0], [1.0], [0.0])
     ps.run_until(2.0)
     with pytest.raises(DomainError):
         ps.run_until(1.0)
@@ -86,7 +86,7 @@ def test_run_until_rejects_backwards():
 def test_run_until_rejects_non_finite_time(t):
     # an infinite time once moved every radius to +-inf or nan (with a
     # numpy warning) and a nan time was ignored without a word
-    ps = orc.ParticleSystem(1, [1, 2, 3], [1, 1, 1], [1, 0, -1])
+    ps = orc.ParticleSystem([1, 2, 3], [1, 1, 1], [1, 0, -1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
@@ -98,11 +98,11 @@ def test_run_until_rejects_non_finite_time(t):
                          ids=["inf", "minus_inf", "nan"])
 def test_constructor_rejects_non_finite_time(t):
     with pytest.raises(DomainError):
-        orc.ParticleSystem(1, [1, 2, 3], [1, 1, 1], [1, 0, -1], time=t)
+        orc.ParticleSystem([1, 2, 3], [1, 1, 1], [1, 0, -1], time=t)
 
 
 def test_no_absorption_yet_gives_none():
-    ps = orc.ParticleSystem(1, [1.0], [1.0], [1.0])
+    ps = orc.ParticleSystem([1.0], [1.0], [1.0])
     ps.run_until(3.0)
     assert orc.largest_absorption_time(ps) is None
 
@@ -231,7 +231,7 @@ def discretized_data(draw):
 def test_discretize_hands_over_what_the_constructor_builds(case):
     data, N, r_max, times = case
     ps = orc.discretize(data, N, r_max)
-    ref = orc.ParticleSystem(data.n, *_discretize_per_cell(data, N, r_max))
+    ref = orc.ParticleSystem(*_discretize_per_cell(data, N, r_max))
     assert _state_bytes(ps) == _state_bytes(ref)
     for t in times:
         ps.run_until(t)
@@ -240,12 +240,21 @@ def test_discretize_hands_over_what_the_constructor_builds(case):
 
 
 def test_discretize_keeps_the_position_check():
-    # the cell [0, 5e-324] has its midpoint at 0
+    # a normal grid; the split cell [0, 5e-324] has its midpoint at 0
     d = PseudoRiemannData(n=1, R=5e-324, rho_l=1e300, rho_r=1e300,
                           u_l=1.0, u_r=-1.0)
     with pytest.raises(DomainError,
                        match="positions must be > 0 and strictly increasing"):
-        orc.discretize(d, 200, 1e-323)
+        orc.discretize(d, 200, 1.0)
+
+
+def test_discretize_names_a_subnormal_grid():
+    # r_max / N rounds to 2.5e-323: np.linspace repeats and reorders
+    # the edges
+    d = PseudoRiemannData(n=1, R=1e-320, rho_l=1.0, rho_r=1.0,
+                          u_l=1.0, u_r=-1.0)
+    with pytest.raises(DomainError, match="grid spacing r_max/N=2.5e-323"):
+        orc.discretize(d, 1000, 2.2816e-320)
 
 
 def test_constructor_copies_its_inputs():
@@ -253,7 +262,7 @@ def test_constructor_copies_its_inputs():
     mas = np.array([1.0, 1.0, 0.5, 1.0, 2.0])
     vel = np.array([-1.0, 0.5, 0.0, -0.5, -0.25])
     given_arrays = [x.copy() for x in (pos, mas, vel)]
-    ps = orc.ParticleSystem(1, pos, mas, vel, time=0.25)
+    ps = orc.ParticleSystem(pos, mas, vel, time=0.25)
     # the intercepts x - u t have the bits of u * -t + x
     assert ps._a.tobytes() == (vel * -0.25 + pos).tobytes()
     ps.run_until(3.0)
@@ -345,7 +354,7 @@ def test_front_mass_where_xi_power_overflows():
     assert pair.Q == pytest.approx(verify.conserved_pair(plan, 0.0, 3e110).Q,
                                    rel=1e-15)
     assert math.isfinite(pair.M)
-    atom = xr.evaluate_grid(plan, [1e110], 1.0).atoms[0]
+    atom = xr.evaluate_grid(plan, [1e110], 1.0).atoms[0, 0]
     assert atom.radius == 1e110 and atom.total_mass == pytest.approx(mass)
     rep = orc.compare(plan, orc.discretize(d, 100, 3e110).run_until(1.0),
                       1.0, 3e110)
@@ -377,7 +386,7 @@ def particle_systems(draw):
                        min_size=len(rs), max_size=len(rs)))
     us = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
                        min_size=len(rs), max_size=len(rs)))
-    return orc.ParticleSystem(1, rs, ms, us)
+    return orc.ParticleSystem(rs, ms, us)
 
 
 @given(particle_systems(), st.floats(min_value=0.1, max_value=30.0))
@@ -411,7 +420,7 @@ def test_momentum_changes_only_by_absorption(ps, t_end):
 
 def test_momentum_accounting_with_known_absorption():
     # left particle sinks into the origin before the right pair merges
-    ps = orc.ParticleSystem(1, [0.5, 4.0, 5.0], [2.0, 1.0, 3.0],
+    ps = orc.ParticleSystem([0.5, 4.0, 5.0], [2.0, 1.0, 3.0],
                             [-1.0, 1.0, -1.0])
     mom0 = ps.total_momentum()  # -2 + 1 - 3 = -4
     ps.run_until(3.0)
@@ -422,7 +431,7 @@ def test_momentum_accounting_with_known_absorption():
 
 def test_simultaneous_collisions_group_merge():
     # three equally spaced particles closing symmetrically meet at once
-    ps = orc.ParticleSystem(1, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0],
+    ps = orc.ParticleSystem([1.0, 2.0, 3.0], [1.0, 1.0, 1.0],
                             [1.0, 0.0, -1.0])
     ps.run_until(1.0)
     assert ps.alive_count == 1
@@ -632,7 +641,7 @@ def reference_systems(draw):
 @settings(max_examples=300, deadline=None)
 def test_projection_matches_heap_event_loop(system):
     r, m, u, t0, times = system
-    ps = orc.ParticleSystem(1, r, m, u, time=t0)
+    ps = orc.ParticleSystem(r, m, u, time=t0)
     # the heap loop merges massless particles into a cluster with no
     # centre, which lets matter pass through other clusters: it is a
     # reference for the massive particles only, which is all ParticleSystem
@@ -649,7 +658,7 @@ def test_projection_matches_heap_event_loop(system):
 def test_meeting_behind_the_origin_changes_nothing():
     # A (r 1, u -2) and B (r 2, u -3) cross r = 0 at t = 1/2 and 2/3 and
     # meet at r = -1 at t = 1 in free motion; C moves outward untouched
-    ps = orc.ParticleSystem(1, [1.0, 2.0, 3.0], [2.0, 5.0, 1.0],
+    ps = orc.ParticleSystem([1.0, 2.0, 3.0], [2.0, 5.0, 1.0],
                             [-2.0, -3.0, 1.0])
     ps.run_until(3.0)
     assert ps.absorptions == [(0.5, 2.0), (pytest.approx(2.0 / 3.0), 5.0)]
@@ -657,7 +666,7 @@ def test_meeting_behind_the_origin_changes_nothing():
     assert ps.radii().tolist() == [6.0] and ps.masses().tolist() == [1.0]
     # snapshots before, between and after the crossings and the meeting
     # give the same deposits and state
-    stepped = orc.ParticleSystem(1, [1.0, 2.0, 3.0], [2.0, 5.0, 1.0],
+    stepped = orc.ParticleSystem([1.0, 2.0, 3.0], [2.0, 5.0, 1.0],
                                  [-2.0, -3.0, 1.0])
     for t in (0.4, 0.6, 0.9, 1.0, 1.1, 3.0):
         stepped.run_until(t)
@@ -671,7 +680,7 @@ def test_m0_adds_deposits_in_order_one_at_a_time():
     rng = np.random.default_rng(20261019)
     r = np.arange(1, 20_001) * 1e-3
     m = 10.0 ** rng.uniform(-3.0, 3.0, r.size)
-    ps = orc.ParticleSystem(1, r, m, np.full(r.size, -1.0))
+    ps = orc.ParticleSystem(r, m, np.full(r.size, -1.0))
     for t, deposited in ((12.0, 12_000), (30.0, 20_000)):
         ps.run_until(t)
         masses = [mi for _, mi in ps.absorptions]
@@ -696,7 +705,7 @@ SEVERAL_BLOCKS = ([1.0, 2.0, 10.0, 11.0, 15.0, 20.0, 21.0, 25.0, 30.0, 31.0,
 
 
 def test_several_blocks_in_one_step_match_heap_event_loop():
-    ps = orc.ParticleSystem(1, *SEVERAL_BLOCKS)
+    ps = orc.ParticleSystem(*SEVERAL_BLOCKS)
     ref = HeapParticleSystem(*SEVERAL_BLOCKS)
     ps.run_until(1.0)
     ref.run_until(1.0)
@@ -721,7 +730,7 @@ ONE_CLUSTER = ([1.0, 2.0, 4.0, 5.0, 7.0, 8.0], [1.0, 2.0, 1.0, 3.0, 1.0, 1.0],
 @pytest.mark.parametrize("times", [(0.5, 1.0, 2.0, 3.0, 4.0, 20.0), (20.0,)],
                          ids=["stepped", "one_step"])
 def test_one_cluster_matches_heap_event_loop(times):
-    ps = orc.ParticleSystem(1, *ONE_CLUSTER)
+    ps = orc.ParticleSystem(*ONE_CLUSTER)
     ref = HeapParticleSystem(*ONE_CLUSTER)
     for t in times:
         ps.run_until(t)
@@ -732,8 +741,8 @@ def test_one_cluster_matches_heap_event_loop(times):
 
 
 def test_state_does_not_leak_through_queries():
-    ps = orc.ParticleSystem(1, *SEVERAL_BLOCKS)
-    twin = orc.ParticleSystem(1, *SEVERAL_BLOCKS)
+    ps = orc.ParticleSystem(*SEVERAL_BLOCKS)
+    twin = orc.ParticleSystem(*SEVERAL_BLOCKS)
     for t in (1.0, 5.0, 40.0):
         ps.run_until(t)
         twin.run_until(t)
@@ -839,13 +848,13 @@ def _golden_system(kind):
         r = np.arange(1.0, 201.0)
         u = rng.integers(-4, 3, r.size).astype(float)
         m = rng.integers(1, 5, r.size).astype(float)
-        return orc.ParticleSystem(1, r, m, u)
+        return orc.ParticleSystem(r, m, u)
     r = np.cumsum(rng.uniform(0.01, 0.5, 200))
     u = rng.normal(-0.5, 1.0, r.size)
     m = rng.uniform(0.1, 2.0, r.size)
     if kind == "random":
-        return orc.ParticleSystem(2, r, m, u)
-    return orc.ParticleSystem(3, r, m, u, time=0.7)  # "restart"
+        return orc.ParticleSystem(r, m, u)
+    return orc.ParticleSystem(r, m, u, time=0.7)  # "restart"
 
 
 GOLDEN_STATES = [
@@ -892,7 +901,7 @@ def test_particle_states_match_golden_bits(kind, digest):
 def test_subnormal_inward_speed_is_never_absorbed():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ps = orc.ParticleSystem(1, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0],
+        ps = orc.ParticleSystem([1.0, 2.0, 3.0], [1.0, 1.0, 1.0],
                                 [-5e-324, 1.0, -1.0])
         ps.run_until(1e300)
     assert ps.alive_count == 2
@@ -905,7 +914,7 @@ def test_subnormal_relative_speed_gets_no_collision_event():
     # closes its gap in float time, before or after that merge
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ps = orc.ParticleSystem(1, [1.0, 2.0, 4.0, 5.0, 6.0],
+        ps = orc.ParticleSystem([1.0, 2.0, 4.0, 5.0, 6.0],
                                 [1.0, 1.0, 1.0, 1.0, 1.0],
                                 [1e-323, 0.0, 1e-323, 1.0, -1.0])
         ps.run_until(0.25)

@@ -70,6 +70,23 @@ def test_ivp_sigma0_zero_needs_root_speed():
         so.integrate_front(so.FrontIVP(0.0, 1.0, 0.5, 0.0, states, 2), 1.0)
 
 
+def test_ivp_sigma0_zero_takes_an_explicit_root_speed():
+    states = fixed_states(4.0, 1.0, 1.0, -1.0)
+    v = xr.first_root_speed(4.0, 1.0, 1.0, -1.0)
+    given = so.integrate_front(so.FrontIVP(0.0, 1.0, v, 0.0, states, 2), 1.0)
+    chosen = so.integrate_front(so.FrontIVP(0.0, 1.0, None, 0.0, states, 2), 1.0)
+    for name in ("t", "xi", "speed", "sigma"):
+        assert getattr(given, name).tolist() == getattr(chosen, name).tolist()
+    assert given.t.size > 2
+
+
+def test_ivp_sigma0_zero_with_diverging_states_raises():
+    # u0 < u1: the root speed 0 takes in no mass, kappa1 = -2
+    states = fixed_states(1.0, -1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="no strip mass grows"):
+        so.integrate_front(so.FrontIVP(0.0, 1.0, None, 0.0, states, 2), 1.0)
+
+
 def test_rhs_rejects_nonpositive_position():
     with pytest.raises(DomainError):
         so.front_rhs(0.0, 0.0, 0.0, 1.0, fixed_states(1, 0, 1, 0), 2)
