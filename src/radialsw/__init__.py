@@ -29,7 +29,6 @@ from .exact_riemann import (
     evaluate,
     evaluate_grid,
     first_root_speed,
-    origin_hit_time,
     post_absorption,
     second_root_speed,
     solve,

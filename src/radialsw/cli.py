@@ -259,10 +259,13 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError("bad numeric setting: %s" % exc) from exc
     if oracle_N != tuple(N_list) or any(isinstance(N, bool) for N in N_list):
         raise ConfigError("oracle N must be integers, got %r" % (N_list,))
-    if not oracle_times or min(oracle_times) < 0:
-        raise ConfigError("oracle times must be a nonempty list of times >= 0")
+    if not (oracle_times and all(0 <= t < math.inf for t in oracle_times)):
+        raise ConfigError("oracle times must be a nonempty list of finite"
+                          " times >= 0")
     if not (0 < t_max < math.inf):
         raise ConfigError("t_max must be positive and finite")
+    if not (0 < verify_r_max < math.inf and 0 < oracle_r_max < math.inf):
+        raise ConfigError("verify and oracle r_max must be positive and finite")
     flags = {k: ver.get(k, k != "example64")
              for k in ("conservation", "entropy", "weak_ladder", "example64")}
     if not all(isinstance(v, bool) for v in flags.values()):
@@ -282,8 +285,6 @@ def load_scenario(path: str) -> Scenario:
         oracle_N=oracle_N, oracle_r_max=oracle_r_max,
         oracle_times=oracle_times, out_dir=str(raw.get("out", ".")),
     )
-    if not all(map(math.isfinite, sc.oracle_times + (sc.verify_r_max,))):
-        raise ConfigError("oracle times and verify r_max must be finite")
     for name in sc.expected_fail:
         if name not in ("conservation", "entropy", "weak_ladder",
                         "example64_entropy"):

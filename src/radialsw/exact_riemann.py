@@ -192,29 +192,6 @@ def post_absorption(data: PseudoRiemannData) -> PostAbsorptionSW:
     return PostAbsorptionSW(data.u_r, C, D, E, data.rho_r, data.n)
 
 
-@in_float_range
-def origin_hit_time(data: PseudoRiemannData) -> Optional[float]:
-    """Time the shadow front reaches r = 0, if ever.
-
-    u_l <= 0: the constant-speed front arrives at -R/v0.  u_l > 0 with
-    u_r < 0: the first root t > t_in of the post-absorption xi(t) = 0, a
-    quadratic in s = sqrt(Ct+D).  A time beyond float range (u_r
-    subnormal, or t_in infinite) counts as never.
-    """
-    _require_delta_shock(data)
-    if data.u_l <= 0:
-        front, t0 = _const_front(data), 0.0
-    elif data.u_r >= 0:
-        return None
-    else:
-        t0 = absorption_time(data)
-        if not math.isfinite(t0):
-            return None
-        front = post_absorption(data)
-    roots = [t for t in front.times_at(0.0, t0, INF) if math.isfinite(t)]
-    return roots[0] if roots else None
-
-
 # ---------------------------------------------------------------------------
 # Plan assembly
 
@@ -251,19 +228,23 @@ def _waves(data: PseudoRiemannData, kind: str):
 
 def _next_event(data: PseudoRiemannData, fronts, regions, t0: float):
     """(name, time) of the event ending the phase from t0 (time None if
-    never): t_in, or the innermost front's first finite inward crossing of
-    r = 0 at or after t0 (origin_hit_time for a shadow front)."""
+    never): t_in, or the innermost front's first finite crossing of r = 0
+    at or after t0, inward for a linear front.  A shadow front reaches it
+    only when u_r < 0: the constant-speed one when u_r < u_l <= 0, and the
+    post-absorption one, slowing to u_r, never turns back otherwise."""
     if len(fronts) == 2 and isinstance(fronts[1], ConstSpeedSW):
         t = absorption_time(data)
         return "t_in", (t if math.isfinite(t) else None)
     if not fronts:
         return None, None
     f = fronts[0]
-    if f.kind == SHADOW_WAVE:
-        return "t_sw0", origin_hit_time(data)
-    name = "t_vacuum_close" if regions[0].is_vacuum else "t_origin_left"
+    shadow = f.kind == SHADOW_WAVE
+    if shadow and data.u_r >= 0:
+        return "t_sw0", None
     ts = [t for t in f.times_at(0.0, t0, INF)
-          if math.isfinite(t) and f.speed(t) < 0]
+          if math.isfinite(t) and (shadow or f.speed(t) < 0)]
+    name = ("t_sw0" if shadow else
+            "t_vacuum_close" if regions[0].is_vacuum else "t_origin_left")
     return name, (ts[0] if ts else None)
 
 

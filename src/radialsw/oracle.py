@@ -219,6 +219,8 @@ def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:
     edges = edges[j:None if data.rho_r > 0.0 else k + 1]
     k -= j
     lo, hi = edges[:-1], edges[1:]
+    if lo.size and not math.isfinite(lo.item(-1) + hi.item(-1)):
+        raise DomainError("cell midpoints overflow for r_max=%r" % (r_max,))
     pos = lo + hi
     pos *= 0.5
     mas = hi - lo

@@ -199,14 +199,14 @@ def test_front_ode_matches_closed_forms():
             assert abs(sigma - closed.sigma(float(t))) <= 1e-8
 
     check_const(W, xr.absorption_time(W))
-    check_const(A, 0.95 * xr.origin_hit_time(A))
+    check_const(A, 0.95 * xr.solve(A, 1.0).events.get("t_sw0"))
     check_const(B, xr.absorption_time(B))
 
     def check_post(data):
         t_in = xr.absorption_time(data)
         sw = xr.post_absorption(data)
         xi_fn, sigma_fn = sw.xi, sw.sigma
-        t_sw0 = xr.origin_hit_time(data)
+        t_sw0 = xr.solve(data, 1.0).events.get("t_sw0")
         t_hi = t_in + 0.95 * (t_sw0 - t_in) if t_sw0 is not None else 10.0
         states = lambda t, xi: (0.0, 0.0,
                                 data.rho_r * xi ** (1 - data.n), data.u_r)

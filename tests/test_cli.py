@@ -108,9 +108,15 @@ def test_t_grid_beyond_t_max_exits_2(tmp_path):
     ("oracle", {"oracle": {"N": [10], "times": []}}),
     ("oracle", {"oracle": {"N": [10], "times": [-0.5]}}),
     ("verify", {"verify": {"r_max": math.nan}}),
+    ("oracle", {"oracle": {"N": [100], "r_max": math.inf}}),
+    ("oracle", {"oracle": {"N": [100], "r_max": -1.0}}),
+    ("verify", {"data": VACUUM, "verify": {"r_max": -1.0}}),
+    ("verify", {"verify": {"r_max": 0.0}}),
 ], ids=["t_below_0", "t_max_inf", "t_nan", "r_nan", "count_negative",
         "count_fraction", "count_true", "oracle_time_nan", "oracle_times_empty",
-        "oracle_time_below_0", "verify_r_max_nan"])
+        "oracle_time_below_0", "verify_r_max_nan", "oracle_r_max_inf",
+        "oracle_r_max_negative", "verify_r_max_negative_vacuum",
+        "verify_r_max_zero"])
 def test_out_of_domain_grids_and_times_exit_2(tmp_path, capsys, command,
                                               overrides):
     code, out = run(tmp_path, command, write_config(tmp_path, **overrides))

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import radialsw.exact_riemann as xr
 from grid_strategies import sampled_plans
 from radialsw.core import (
-    ALL_VACUUM, CASE_CONTACT, DELTA_SHOCK, SHADOW_WAVE, VACUUM_FAN,
+    ALL_VACUUM, CASE_CONTACT, CASE_KINDS, DELTA_SHOCK, SHADOW_WAVE, VACUUM_FAN,
     VACUUM_LEFT_SHOCK, VACUUM_RIGHT_SHOCK, DomainError, PseudoRiemannData,
     kappa_fluxes, surface_area,
 )
@@ -184,10 +184,11 @@ def test_underflowing_absorption_time_raises_domain_error():
 
 
 def test_origin_hit_time_examples():
-    assert xr.origin_hit_time(WORKED) == pytest.approx(4.0, rel=1e-12)
+    t_sw0 = xr.solve(WORKED, 1.0).events.get("t_sw0")
+    assert t_sw0 == pytest.approx(4.0, rel=1e-12)
     d = data(n=3, R=1.0, rho_l=1.0, rho_r=4.0, u_l=0.0, u_r=-1.0)
-    assert xr.origin_hit_time(d) == pytest.approx(1.5, rel=1e-14)
-    assert xr.origin_hit_time(data(u_l=2.0, u_r=1.0)) is None
+    assert xr.solve(d, 1.0).events.get("t_sw0") == pytest.approx(1.5, rel=1e-14)
+    assert xr.solve(data(u_l=2.0, u_r=1.0), 1.0).events.get("t_sw0") is None
 
 
 def test_origin_hit_time_on_cancellation_datum():
@@ -195,15 +196,17 @@ def test_origin_hit_time_on_cancellation_datum():
     d = PseudoRiemannData(n=1, R=1.0860149515803998, rho_l=6111.177244764253,
                           rho_r=0.0004025373404174065,
                           u_l=0.0003356826261201586, u_r=-0.09107621258671562)
-    assert xr.origin_hit_time(d) == pytest.approx(1336092.99074064172, rel=1e-12)
+    t_sw0 = xr.solve(d, 1.0).events.get("t_sw0")
+    assert t_sw0 == pytest.approx(1336092.99074064172, rel=1e-12)
 
 
 def test_origin_hit_time_beyond_float_range_is_none():
-    assert xr.origin_hit_time(data(u_l=1.0, u_r=-5e-324)) is None
+    d = data(u_l=1.0, u_r=-5e-324)
+    assert xr.solve(d, 1.0).events.get("t_sw0") is None
     # R (sqrt(rho_r) + sqrt(rho_l)) = inf: t_in is infinite
     d = data(R=1e300, rho_l=1e300, rho_r=1e-300)
     assert xr.absorption_time(d) == math.inf
-    assert xr.origin_hit_time(d) is None
+    assert xr.solve(d, 1.0).events.get("t_sw0") is None
 
 
 def test_post_absorption_times_at_matches_xi():
@@ -456,7 +459,8 @@ def test_constants_beyond_float_range_raise_domain_error(d):
 @pytest.mark.parametrize("fn, d", [
     (xr.absorption_time, (1, 1.0, 1.0, 5e-324, 1e-300, 0.0)),
     (xr.post_absorption, (1, 1.0, 1.0, 1.0, 1.0, -1e300)),
-    (xr.origin_hit_time, (1, 5e-324, 1.0, 5e-324, 5e-324, -1.7e308)),
+    (lambda d: xr.solve(d, 1.0).events.get("t_sw0"),
+     (1, 5e-324, 1.0, 5e-324, 5e-324, -1.7e308)),
     (lambda d: xr.solve(d, 1.0), (1, 5e-324, 5e-324, 5e-324, 5e-324, -1e-300)),
 ], ids=["absorption_time", "post_absorption", "origin_hit_time", "solve"])
 def test_public_closed_forms_raise_domain_error_beyond_float_range(fn, d):
@@ -714,6 +718,41 @@ def test_n1_matches_classical_delta_shock(d):
         fr = _sw_front(plan, t)
         assert fr.speed(t) == v0
         assert abs(fr.sigma(t) - k1 * t) <= 1e-12 * max(1.0, k1 * t)
+
+
+@st.composite
+def data_at_scale(draw):
+    """A datum of any case kind, n = 1..4, with R, densities and speeds
+    log-uniform in 1e±3 or in 1e±300 (speeds of either sign)."""
+    e = draw(st.sampled_from([3.0, 300.0]))
+    magnitude = st.floats(-1.0, 1.0).map(lambda v: 10.0 ** (e * v))
+    kind = draw(st.sampled_from(CASE_KINDS))
+    u_l, u_r = sorted(draw(st.sampled_from([-1.0, 1.0])) * draw(magnitude)
+                      for _ in "lr")
+    if kind == DELTA_SHOCK:
+        u_l, u_r = u_r, u_l
+    elif kind == CASE_CONTACT:
+        u_r = u_l
+    rho_l, rho_r = draw(magnitude), draw(magnitude)
+    if kind in (ALL_VACUUM, VACUUM_LEFT_SHOCK):
+        rho_l = 0.0
+    if kind in (ALL_VACUUM, VACUUM_RIGHT_SHOCK):
+        rho_r = 0.0
+    return data(draw(st.integers(1, 4)), draw(magnitude), rho_l, rho_r,
+                u_l, u_r)
+
+
+@given(data_at_scale())
+@settings(max_examples=300, deadline=None)
+def test_inflow_ends_only_in_a_phase_from_0(d):
+    # so wherever solve adds slope * (t1 - t0) to m0 or p0, t1 - t0 is t1
+    try:
+        plan = xr.solve(d, 1.0)
+    except DomainError:
+        return
+    for ph in plan.phases:
+        if (ph.m0_slope or ph.p0_slope) and ph.t_end < math.inf:
+            assert ph.t_start == 0.0
 
 
 @given(delta_shock_data())

@@ -3,6 +3,7 @@ import heapq
 import json
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -255,6 +256,20 @@ def test_discretize_names_a_subnormal_grid():
                           u_l=1.0, u_r=-1.0)
     with pytest.raises(DomainError, match="grid spacing r_max/N=2.5e-323"):
         orc.discretize(d, 1000, 2.2816e-320)
+
+
+def test_discretize_names_an_overflowing_midpoint():
+    # the last cell's lo + hi overflows: at 9.5e307 it gave a particle at
+    # inf, at 1.7e308 numpy warned and the position check raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r_max in (9.5e307, 1.7e308):
+            with pytest.raises(DomainError, match=re.escape(
+                    "midpoints overflow for r_max=%r" % r_max)):
+                orc.discretize(WORKED, 10, r_max)
+        # just below, the last midpoint keeps its bits
+        ps = orc.discretize(WORKED, 10, 8.9e307)
+    assert ps._a[-1] == (8.01e307 + 8.9e307) * 0.5 == 8.455e307
 
 
 def test_constructor_copies_its_inputs():

@@ -42,16 +42,21 @@ def run_script(script, args):
 
 
 def test_output_digests_subset(tmp_path):
-    # one item per workload and seed: 7 items, each run by solve and by
-    # its own command, one output file per run; the own command's run also
-    # holds the benchmark check's outcome, which passes or is a weak-ladder
-    # order below the gate, and a verify run the front ODE check's figures
+    # one item per workload and seed: 7 benchmark items, each run by solve
+    # and by its own command, one output file per run; the own command's
+    # run also holds the benchmark check's outcome, which passes or is a
+    # weak-ladder order below the gate, and a verify run the front ODE
+    # check's figures; and one extreme datum, run by solve alone, with the
+    # digest of its library plan
     out = tmp_path / "digests.json"
     run_script("output_digests.py", [str(out), "--limit", "1"])
     digests = json.loads(out.read_text(encoding="utf-8"))
-    assert len(digests) == 14
+    assert len(digests) == 15
     assert sorted({k.split("/")[-1] for k in digests}) == [
         "oracle", "sample", "solve", "verify"]
+    extreme = digests.pop("solve_1e300/1/0/solve")
+    assert sorted(extreme) == ["exit", "plan", "plan.txt", "stdout"]
+    assert extreme["exit"] == 0 and len(extreme["plan"]) == 64
     for key, record in digests.items():
         name = {"solve": "plan.txt", "sample": "samples.csv",
                 "verify": "verify.txt", "oracle": "oracle.csv"}[key.split("/")[-1]]
