@@ -37,7 +37,7 @@ def main():
         t0 = time.perf_counter()
         for t in sorted(args.times):
             ps.run_until(t)
-            rep = oracle.compare(plan, ps, t, args.r_max)
+            rep = oracle.compare(plan, ps, t)
             mass_rel = (rep["mass_error"] / rep["mass_exact"]
                         if rep["mass_error"] is not None else float("nan"))
             pos = rep["pos_error"] if rep["pos_error"] is not None else float("nan")

@@ -437,7 +437,7 @@ def cmd_oracle(sc: Scenario, out_dir: str) -> int:
         ps = oracle_mod.discretize(sc.data, N, sc.oracle_r_max)
         for t in sorted(sc.oracle_times):
             ps.run_until(t)
-            rep = oracle_mod.compare(plan, ps, t, sc.oracle_r_max)
+            rep = oracle_mod.compare(plan, ps, t)
             rows.append(",".join([_fmt(t), str(N)] + [_fmt(rep[k]) for k in (
                 "pos_exact", "pos_oracle", "mass_exact", "mass_oracle",
                 "m0_exact", "m0_oracle")]))

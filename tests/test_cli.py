@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 from itertools import combinations_with_replacement, repeat
 
 import numpy as np
@@ -82,13 +83,20 @@ def test_nonpositive_t_max_exits_2(tmp_path):
     assert run(tmp_path, "solve", cfg)[0] == 2
 
 
-def test_bad_grids_exit_2(tmp_path):
+def test_bad_grids_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, sample={"r": []})
     assert run(tmp_path, "sample", cfg)[0] == 2
     cfg = write_config(tmp_path, sample={"r": [2.0, 1.0]})
     assert run(tmp_path, "sample", cfg)[0] == 2
     cfg = write_config(tmp_path, sample={"r": {"start": 0.1, "stop": 2.0}})
     assert run(tmp_path, "sample", cfg)[0] == 2
+    cfg = write_config(tmp_path, sample={"r": "0.1 2.0"})
+    assert run(tmp_path, "sample", cfg)[0] == 2
+    assert "r grid must be a list or start/stop/count" in capsys.readouterr().err
+    cfg = write_config(tmp_path, sample={"r": {"start": "near", "stop": 2.0,
+                                               "count": 3}})
+    assert run(tmp_path, "sample", cfg)[0] == 2
+    assert "bad r grid" in capsys.readouterr().err
 
 
 def test_t_grid_beyond_t_max_exits_2(tmp_path):
@@ -684,6 +692,11 @@ def test_lattice_runs_exit_0_1_or_2(case):
         assert code in (0, 1, 2)
         if code == 2:
             assert not os.path.exists(out) or not os.listdir(out)
+        csv_path = os.path.join(out, "oracle.csv")
+        if code == 0 and os.path.exists(csv_path):  # no nan or inf written
+            with open(csv_path, encoding="utf-8") as fh:
+                cells = ",".join(fh.read().splitlines()[1:]).split(",")
+            assert all(not c or math.isfinite(float(c)) for c in cells)
 
 
 def test_default_r_grid_is_valid_for_small_R(tmp_path):
@@ -756,6 +769,40 @@ def test_oracle_csv(tmp_path):
     assert float(row["pos_exact"]) == pytest.approx(1.0)
     assert float(row["pos_oracle"]) == pytest.approx(1.0, abs=0.05)
     assert float(row["mass_exact"]) == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+
+def test_oracle_front_beyond_r_max_exits_0(tmp_path):
+    # the front at t = 8 lies at 12, beyond the default r_max 5.3; the
+    # oracle's cells all moved right, so the comparison holds and once
+    # failed only because a conserved-total check refused the front
+    data = dict(WORKED, u_l=2.0, u_r=1.0)
+    cfg = write_config(tmp_path, data=data, oracle={"N": [1000],
+                                                    "times": [1.0, 8.0]})
+    code, out = run(tmp_path, "oracle", cfg)
+    assert code == 0
+    lines = (out / "oracle.csv").read_text(encoding="utf-8").splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+    assert float(rows[1]["pos_exact"]) == 12.0
+    assert float(rows[1]["pos_oracle"]) == pytest.approx(12.0, rel=1e-6)
+    assert float(rows[1]["mass_oracle"]) == pytest.approx(
+        float(rows[1]["mass_exact"]), rel=1e-3)
+
+
+def test_oracle_values_beyond_float_range_exit_1_before_writing(tmp_path,
+                                                                capsys):
+    # at t = 1e300 the oracle's front cluster sits at u_r t = inf
+    data = {"n": 4, "R": 1.0, "rho_l": 1.0, "rho_r": 1000.0,
+            "u_l": 1e-8, "u_r": 1e300}
+    cfg = write_config(tmp_path, data=data, t_max=1e300,
+                       oracle={"N": [152], "times": [1e300], "r_max": 1000.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
+        code, out = run(tmp_path, "oracle", cfg)
+    assert code == 1
+    assert "oracle comparison leaves float range" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
 
 
 # oracle.csv files of n = 1..4: snapshots past t_sw0 after absorption and

@@ -99,6 +99,8 @@ def test_second_root_speed_examples():
     assert xr.second_root_speed(1, 0.3, 1, 1.7) is None
     assert xr.second_root_speed(1, 1, 4, 1) == pytest.approx(1.0)
     assert xr.second_root_speed(4, 1, 16, 3) == 5.0
+    with pytest.raises(DomainError, match="densities must be >= 0"):
+        xr.second_root_speed(1.0, 0.0, -1.0, 0.0)
 
 
 @given(rhos, vels, rhos, vels)
@@ -147,6 +149,8 @@ def test_absorption_time_examples():
     d = data(n=3, R=2.0, rho_l=1.0, rho_r=4.0, u_l=1.0, u_r=0.0)
     assert xr.absorption_time(d) == pytest.approx(3.0)
     assert xr.absorption_time(data(u_l=0.0, u_r=-1.0)) is None
+    with pytest.raises(DomainError, match="not a delta shock"):
+        xr.absorption_time(data(u_l=0.5, u_r=0.5))  # a contact
 
 
 def test_post_absorption_worked_constants():
@@ -323,6 +327,9 @@ def test_solve_worked_example_structure():
     assert ph2.fronts == ()
     assert ph2.m0_start == pytest.approx(8 * math.pi, rel=1e-12)
     assert ph2.m0_slope == pytest.approx(2 * math.pi, rel=1e-12)
+    for t_max in (0.0, -1.0):
+        with pytest.raises(DomainError, match="t_max must be positive"):
+            xr.solve(WORKED, t_max)
 
 
 def test_solve_all_vacuum():

@@ -85,6 +85,8 @@ def test_rankine_hugoniot_degenerate():
     assert vf.rankine_hugoniot_degenerate(1, 1, 1, 2) is None
     assert vf.rankine_hugoniot_degenerate(0, 3, 0, 7) is None
     assert vf.rankine_hugoniot_degenerate(2, 3, 5, 3) == 3
+    with pytest.raises(DomainError, match="densities must be >= 0"):
+        vf.rankine_hugoniot_degenerate(-1.0, 3.0, 5.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
