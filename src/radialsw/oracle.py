@@ -98,8 +98,8 @@ class ParticleSystem:
         if positions.size and not (positions[0] > 0
                                    and (positions[1:] > positions[:-1]).all()):
             raise DomainError("positions must be > 0 and strictly increasing")
-        if np.any(masses < 0):
-            raise DomainError("masses must be >= 0")
+        if not (masses >= 0).all() or not np.isfinite(masses).all():
+            raise DomainError("masses must be finite and >= 0")
         if not masses.all():  # massless particles carry nothing
             keep = masses > 0
             positions, masses, velocities = (positions[keep], masses[keep],
@@ -224,8 +224,9 @@ def discretize(data: PseudoRiemannData, N: int, r_max: float) -> ParticleSystem:
     pos = lo + hi
     pos *= 0.5
     mas = hi - lo
-    mas[:k] *= S * data.rho_l
-    mas[k:] *= S * data.rho_r
+    with np.errstate(over="ignore"):   # _own refuses the infinite masses
+        mas[:k] *= S * data.rho_l
+        mas[k:] *= S * data.rho_r
     vel = np.empty(pos.size)
     vel[:k] = data.u_l
     vel[k:] = data.u_r

@@ -1,18 +1,20 @@
 """General shadow-wave front ODE integration and closed-form checks.
 
-The front carries a lineal mass sigma(t) at position xi(t) obeying
+The front of lineal mass sigma(t) at position xi(t) carries the mass
+m = sigma xi^(n-1) per unit solid angle, with
 
-    d sigma/dt = kappa1 - (n-1) xid sigma / xi
-    sigma * d xid/dt = kappa2 - xid * kappa1
+    d m/dt = xi^(n-1) kappa1
+    m * d xid/dt = xi^(n-1) (kappa2 - xid * kappa1)
 
-with kappa1 = xid [rho] - [rho u], kappa2 = xid [rho u] - [rho u^2]
-evaluated from the pointwise outer states at the front.  `integrate_front`
-steps the system with Dormand & Prince's 8(5,3) pair on Python floats;
-the 7th-order interpolant of its steps is built when a trajectory is first
-called, or on a step where xi or sigma falls to 0, to locate that event.
-Also provides the closed forms of a dimension-two front with genuinely
-nonconstant speed whose left state is smooth but which violates the
-dissipation inequality.
+and kappa1 = xid [rho] - [rho u], kappa2 = xid [rho u] - [rho u^2]
+evaluated from the pointwise outer states at the front.  For power-law
+outer states rho = c r^(1-n), xi^(n-1) kappa is kappa of the coefficients,
+so the system is the n = 1 one.  `integrate_front` steps (xi, xid, m) with
+Dormand & Prince's 8(5,3) pair on Python floats; the 7th-order interpolant
+of its steps is built when a trajectory is first called, or on a step
+where xi or m falls to 0, to locate that event.  Also provides the closed
+forms of a dimension-two front with genuinely nonconstant speed whose left
+state is smooth but which violates the dissipation inequality.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .exact_riemann import first_root_speed
 # sigma = 0 start is stepped past algebraically over this fraction of the span
 SEED_FRACTION = 1e-6
 _XI_TINY = 1e-12
-_SIGMA_FLOOR = 1e-30
+_MASS_FLOOR = 1e-30   # trial stages see m >= this fraction of the start mass
 _EPS = sys.float_info.epsilon
 
 # Dormand & Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.5
@@ -138,11 +140,11 @@ def _off_root(speed: float, k1: float, k2: float) -> bool:
     return abs(k2 - speed * k1) > 1e-9 * (1.0 + abs(k2) + abs(speed * k1))
 
 
-def front_rhs(t: float, xi: float, speed: float, sigma: float,
+def front_rhs(t: float, xi: float, speed: float, mass: float,
               outer_states: Callable, n: int) -> Tuple[float, float]:
-    """(d sigma/dt, d speed/dt) of the front system.
+    """(d mass/dt, d speed/dt) of the front system in m = sigma xi^(n-1).
 
-    At sigma = 0 the speed equation is 0/0; the motion is then algebraic
+    At mass = 0 the speed equation is 0/0; the motion is then algebraic
     (speed solves speed*kappa1 = kappa2) and the derivative is 0 provided
     the given speed is consistent, else the start is singular.
     """
@@ -150,16 +152,14 @@ def front_rhs(t: float, xi: float, speed: float, sigma: float,
         raise DomainError("front position must be positive")
     rho0, u0, rho1, u1 = outer_states(t, xi)
     k1, k2 = kappa_fluxes(speed, rho0, u0, rho1, u1)
-    dsigma = k1 - (n - 1) * speed * sigma / xi
-    if sigma > 0.0:
-        dspeed = (k2 - speed * k1) / sigma
-    elif _off_root(speed, k1, k2):
+    g = xi ** (n - 1)
+    if mass > 0.0:
+        return g * k1, g * (k2 - speed * k1) / mass
+    if _off_root(speed, k1, k2):
         raise DomainError(
             "sigma = 0 with speed off the algebraic root "
             "(speed*kappa1 - kappa2 = %g)" % (speed * k1 - k2,))
-    else:
-        dspeed = 0.0
-    return dsigma, dspeed
+    return g * k1, 0.0
 
 
 def _dot(weights, K):
@@ -236,7 +236,7 @@ def _interpolate(F, t, h, y, s):
 
 def _integrate(f, t, y, t_end, rtol, atol):
     """DOP853 from (t, y) to t_end with scipy's step-size control, or to
-    where xi or sigma falls to 0 (>= 0 before a step, <= 0 after it).
+    where xi or m falls to 0 (>= 0 before a step, <= 0 after it).
     Returns the sample times and states, the steps, their interpolants
     built so far, the rejected steps, and the fallen component or None."""
     f0 = f(t, y)
@@ -247,8 +247,8 @@ def _integrate(f, t, y, t_end, rtol, atol):
         h_abs, retry = max(h_abs, min_step), False
         while True:
             if h_abs < min_step:
-                # typical cause: lineal mass blowing up as the front reaches
-                # the origin; integrate to a t_end short of the hit instead
+                # typical cause: the speed blowing up as m falls to 0 off
+                # the algebraic root
                 raise DomainError(
                     "integration stalled at t=%g: required step size is "
                     "less than spacing between numbers" % t)
@@ -298,7 +298,8 @@ class FrontTrajectory:
     t: np.ndarray
     xi: np.ndarray
     speed: np.ndarray
-    sigma: np.ndarray
+    mass: np.ndarray   # m = sigma xi^(n-1), the stepped variable
+    n: int
     t_start: float
     t_end: float
     reached_origin: bool
@@ -308,10 +309,15 @@ class FrontTrajectory:
     _steps: list = field(repr=False)   # (t, h, y, y_new, stages) per step
     _dense: dict = field(repr=False)   # step index -> interpolant rows
 
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.mass * self.xi ** (1 - self.n)
+
     def __call__(self, t):
         """(xi, speed, sigma) interpolated at t (scalar or array), clipped
-        to [t_start, t_end].  The first call builds the interpolant of
-        every step, at 3 more right-hand-side evaluations each."""
+        to [t_start, t_end], sigma from the interpolated m.  The first call
+        builds the interpolant of every step, at 3 more right-hand-side
+        evaluations each."""
         if len(self._dense) < len(self._steps):
             for k, step in enumerate(self._steps):
                 if k not in self._dense:
@@ -321,17 +327,17 @@ class FrontTrajectory:
         ks = np.clip(np.searchsorted(self.t, ts) - 1, 0, len(self._steps) - 1)
         vals = [_interpolate(self._dense[k], *self._steps[k][:3], s)
                 for k, s in zip(np.ravel(ks).tolist(), np.ravel(ts).tolist())]
-        if ts.ndim == 0:
-            return vals[0]
         out = np.array(vals, dtype=float).reshape(ts.shape + (3,))
-        return out[..., 0], out[..., 1], out[..., 2]
+        xi, speed, mass = out[..., 0], out[..., 1], out[..., 2]
+        out = xi, speed, mass * xi ** (1 - self.n)
+        return tuple(map(float, out)) if ts.ndim == 0 else out
 
 
 def integrate_front(ivp: FrontIVP, t_end: float, tol: float = 1e-10,
                     atol: float = 1e-12) -> FrontTrajectory:
     """Adaptive 8th-order integration of the front system (DOP853 on
     Python floats, relative tolerance tol, absolute atol); terminates at
-    t_end, or where xi falls to 0 (reached_origin) or sigma does (which
+    t_end, or where xi falls to 0 (reached_origin) or the mass does (which
     raises unless the speed is then on the algebraic root)."""
     if not (tol > 0 and atol >= 0):
         raise DomainError("tol must be positive and atol >= 0")
@@ -352,29 +358,33 @@ def integrate_front(ivp: FrontIVP, t_end: float, tol: float = 1e-10,
         k1, _ = kappa_fluxes(v, rho0, u0, rho1, u1)
         if k1 <= 0.0:
             raise DomainError("no strip mass grows from sigma = 0 here")
+        # exact for power-law states, whose xi^(n-1) kappa1 is constant
         delta = SEED_FRACTION * (t_end - t0)
+        mass0 = xi0 ** (n - 1) * k1 * delta
         t0 = t0 + delta
         xi0 = xi0 + v * delta
-        sigma0 = k1 * delta
         speed0 = v
     elif speed0 is None:
         raise DomainError("speed0 required when sigma0 > 0")
+    else:
+        mass0 = sigma0 * xi0 ** (n - 1)
+    floor = _MASS_FLOOR * mass0
 
     nfev = 0
 
-    # Trial stages may probe xi or sigma slightly past zero; clamp instead of
+    # Trial stages may probe xi or m slightly past zero; clamp instead of
     # raising and let the terminal events handle genuine crossings.
     def rhs(t, y):
         nonlocal nfev
         nfev += 1
-        xi, speed, sigma = y
-        dsg, dsp = front_rhs(t, max(xi, _XI_TINY), speed,
-                             max(sigma, _SIGMA_FLOOR), states, n)
-        return speed, dsp, dsg
+        xi, speed, mass = y
+        dm, dsp = front_rhs(t, max(xi, _XI_TINY), speed, max(mass, floor),
+                            states, n)
+        return speed, dsp, dm
 
     # scipy's floor on the relative tolerance
     ts, ys, steps, dense, rejected, fell = _integrate(
-        rhs, float(t0), (float(xi0), float(speed0), float(sigma0)),
+        rhs, float(t0), (float(xi0), float(speed0), float(mass0)),
         float(t_end), max(tol, 100 * _EPS), atol)
     if fell == 2:
         te, (xe, ve, _) = ts[-1], ys[-1]
@@ -382,8 +392,8 @@ def integrate_front(ivp: FrontIVP, t_end: float, tol: float = 1e-10,
         if _off_root(ve, *kappa_fluxes(ve, rho0, u0, rho1, u1)):
             raise DomainError(
                 "strip mass vanished at t=%g with incompatible fluxes" % te)
-    xi, speed, sigma = np.array(ys).T.copy()
-    return FrontTrajectory(np.array(ts), xi, speed, sigma, ts[0], ts[-1],
+    xi, speed, mass = np.array(ys).T.copy()
+    return FrontTrajectory(np.array(ts), xi, speed, mass, n, ts[0], ts[-1],
                            fell == 0, nfev, rejected, rhs, steps, dense)
 
 

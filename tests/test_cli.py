@@ -805,6 +805,21 @@ def test_oracle_values_beyond_float_range_exit_1_before_writing(tmp_path,
     assert not out.exists() or not os.listdir(out)
 
 
+def test_oracle_infinite_cell_masses_exit_1_cleanly(tmp_path, capsys):
+    # the cells right of R hold (hi - lo) S rho_r = inf: the run exited 0
+    # after a numpy overflow warning, with no front cluster to compare
+    data = {"n": 1, "R": 1.0, "rho_l": 1.0, "rho_r": 1e300,
+            "u_l": 1.0, "u_r": 1.0}
+    cfg = write_config(tmp_path, data=data, t_max=2.0,
+                       oracle={"N": [10], "times": [1.0], "r_max": 1e300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "oracle", cfg)
+    assert code == 1
+    assert capsys.readouterr().err == "error: masses must be finite and >= 0\n"
+    assert not out.exists() or not os.listdir(out)
+
+
 # oracle.csv files of n = 1..4: snapshots past t_sw0 after absorption and
 # the origin dump, an inflow hit, a vacuum fan and a drained side that feed
 # m0, a contact with u = -0.0, and R on a cell edge (r_max / N dyadic).

@@ -33,6 +33,9 @@ def test_constructor_validation():
         orc.ParticleSystem([2.0, 1.0], [1.0, 1.0], [0.0, 0.0])
     with pytest.raises(DomainError):
         orc.ParticleSystem([1.0, 2.0], [1.0, -1.0], [0.0, 0.0])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="masses must be finite"):
+            orc.ParticleSystem([1.0, 2.0], [1.0, bad], [0.0, 0.0])
 
 
 def test_head_on_merge_conserves_momentum():
@@ -276,6 +279,17 @@ def test_discretize_names_an_overflowing_midpoint():
         # just below, the last midpoint keeps its bits
         ps = orc.discretize(WORKED, 10, 8.9e307)
     assert ps._a[-1] == (8.01e307 + 8.9e307) * 0.5 == 8.455e307
+
+
+def test_discretize_refuses_infinite_cell_masses():
+    # (hi - lo) S rho_r overflows: the cells right of R carried mass inf,
+    # with a numpy overflow warning, and compare found no front cluster
+    d = PseudoRiemannData(n=1, R=1.0, rho_l=1.0, rho_r=1e300, u_l=1.0,
+                          u_r=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="masses must be finite"):
+            orc.discretize(d, 10, 1e300)
 
 
 def test_constructor_copies_its_inputs():

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from radialsw.core import DomainError, PseudoRiemannData, kappa_fluxes
 WORKED = PseudoRiemannData(n=2, R=1.0, rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
 # the plan's constant-speed shadow front, valid up to t_in = 1
 CONST_FRONT = xr.solve(WORKED, 1.0).phases[0].fronts[-1]
+# the data of an n = 3 front started off its algebraic root
+PINNED = PseudoRiemannData(n=3, R=1.0, rho_l=2.0, rho_r=0.5, u_l=1.5, u_r=-0.7)
 
 
 def power_law_states(d):
@@ -41,19 +44,37 @@ def test_rhs_speed_frozen_at_physical_root():
 
 
 def test_rhs_zero_jump_is_pure_geometric_decay():
+    # with no jump the mass m = sigma xi^(n-1) is constant, so sigma decays
+    # as xi^(1-n) alone
     states = fixed_states(2.0, 0.7, 2.0, 0.7)
     for n in (1, 2, 3):
-        dsigma, dspeed = so.front_rhs(1.0, 2.0, 0.7, 1.5, states, n)
-        assert dsigma == pytest.approx(-(n - 1) * 0.7 * 1.5 / 2.0, abs=1e-14)
+        dmass, dspeed = so.front_rhs(1.0, 2.0, 0.7, 1.5, states, n)
+        assert dmass == 0.0
         assert dspeed == 0.0
 
 
 def test_rhs_one_dimensional_drops_geometry():
     states = fixed_states(3.0, 1.0, 1.0, -2.0)
     speed = 0.4
-    k1, _ = kappa_fluxes(speed, 3.0, 1.0, 1.0, -2.0)
-    dsigma, _ = so.front_rhs(0.3, 5.0, speed, 9.9, states, 1)
-    assert dsigma == pytest.approx(k1, rel=1e-14)
+    k1, k2 = kappa_fluxes(speed, 3.0, 1.0, 1.0, -2.0)
+    dmass, _ = so.front_rhs(0.3, 5.0, speed, 9.9, states, 1)
+    assert dmass == pytest.approx(k1, rel=1e-14)
+    # in higher dimension both rates carry xi^(n-1) and nothing else
+    for n in (2, 3, 4):
+        dmass, dspeed = so.front_rhs(0.3, 5.0, speed, 9.9, states, n)
+        assert dmass == pytest.approx(5.0 ** (n - 1) * k1, rel=1e-14)
+        assert dspeed == pytest.approx(
+            5.0 ** (n - 1) * (k2 - speed * k1) / 9.9, rel=1e-14)
+
+
+def test_rhs_power_law_states_are_n_free():
+    # rho = c r^(1-n): the mass form is the n = 1 system of the coefficients
+    want = so.front_rhs(0.2, 1.7, 0.3, 0.4,
+                        power_law_states(replace(PINNED, n=1)), 1)
+    for n in (2, 3, 4):
+        got = so.front_rhs(0.2, 1.7, 0.3, 0.4,
+                           power_law_states(replace(PINNED, n=n)), n)
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_rhs_singular_start_off_root():
@@ -120,15 +141,15 @@ def test_ivp_validation():
 
 
 def test_trajectory_bits_are_pinned():
-    # an n = 3 front started off its algebraic root; the fixture holds the
-    # accepted samples as float.hex and the right-hand-side evaluations, so
-    # a stepper change at rounding level shows
-    d = PseudoRiemannData(n=3, R=1.0, rho_l=2.0, rho_r=0.5, u_l=1.5, u_r=-0.7)
+    # the fixture holds the accepted samples as float.hex and the
+    # right-hand-side evaluations, so a stepper change at rounding level
+    # shows
+    d = PINNED
     traj = so.integrate_front(
         so.FrontIVP(0.0, d.R, 0.3, 0.2, power_law_states(d), d.n), 2.0)
     want = json.loads((pathlib.Path(__file__).parent / "data"
                        / "front_trajectory_n3.json").read_text())
-    for key in ("t", "xi", "speed", "sigma"):
+    for key in ("t", "xi", "speed", "mass", "sigma"):
         assert [x.hex() for x in getattr(traj, key).tolist()] == want[key]
     assert traj.nfev == want["nfev"]
 
@@ -347,27 +368,29 @@ def test_integrated_speed_stays_on_root(d):
 
 def scipy_front(ivp, t_end):
     """integrate_front as scipy's solve_ivp(DOP853) gives it: the same
-    clamped right-hand side, terminal events and off-root check, default
-    tolerances; ivp.sigma0 > 0."""
+    clamped right-hand side in (xi, speed, mass), terminal events and
+    off-root check, default tolerances; ivp.sigma0 > 0."""
     from scipy.integrate import solve_ivp
 
+    mass0 = ivp.sigma0 * ivp.xi0 ** (ivp.n - 1)
+    floor = so._MASS_FLOOR * mass0
+
     def rhs(t, y):
-        dsg, dsp = so.front_rhs(t, max(y[0], so._XI_TINY), y[1],
-                                max(y[2], so._SIGMA_FLOOR),
-                                ivp.outer_states, ivp.n)
-        return [y[1], dsp, dsg]
+        dm, dsp = so.front_rhs(t, max(y[0], so._XI_TINY), y[1],
+                               max(y[2], floor), ivp.outer_states, ivp.n)
+        return [y[1], dsp, dm]
 
     def hit_origin(t, y):
         return y[0]
 
-    def sigma_zero(t, y):
+    def mass_zero(t, y):
         return y[2]
 
-    for event in (hit_origin, sigma_zero):
+    for event in (hit_origin, mass_zero):
         event.terminal, event.direction = True, -1
-    out = solve_ivp(rhs, (ivp.t0, t_end), [ivp.xi0, ivp.speed0, ivp.sigma0],
+    out = solve_ivp(rhs, (ivp.t0, t_end), [ivp.xi0, ivp.speed0, mass0],
                     method="DOP853", rtol=1e-10, atol=1e-12,
-                    dense_output=True, events=(hit_origin, sigma_zero))
+                    dense_output=True, events=(hit_origin, mass_zero))
     if not out.success:
         raise DomainError(out.message)
     if out.t_events[1].size:
@@ -378,27 +401,32 @@ def scipy_front(ivp, t_end):
     return out
 
 
+def closed_form_ivp(d, t0):
+    """The IVP of d's constant-speed front started from its closed form at
+    time t0."""
+    front = xr._const_front(d)
+    return so.FrontIVP(t0, front.xi(t0), front.v0, front.sigma(t0),
+                       power_law_states(d), d.n)
+
+
 def shock_case(d):
     """(ivp, t_end, closed) of a delta-shock front, started from its closed
-    form closed(t) = (xi, sigma) at a small time; an inward front runs past
-    its origin hit for n = 1, and to 0.9 of it for n >= 2, where sigma
-    blows up there."""
+    form closed(t) = (xi, mass) at a small time; an inward front runs past
+    its origin hit."""
     front = xr._const_front(d)
     t_hit = d.R / -front.v0 if front.v0 < 0 else math.inf
-    horizon = min((1.5 if d.n == 1 else 0.9) * t_hit,
-                  10.0 * d.R / (d.u_l - d.u_r))
-    t0 = 1e-3 * horizon
-    return (so.FrontIVP(t0, front.xi(t0), front.v0, front.sigma(t0),
-                        power_law_states(d), d.n), horizon,
-            lambda t: (front.xi(t), front.sigma(t)))
+    horizon = min(1.5 * t_hit, 10.0 * d.R / (d.u_l - d.u_r))
+    return (closed_form_ivp(d, 1e-3 * horizon), horizon,
+            lambda t: (front.xi(t), front.mass(t)))
 
 
 def drain_case(d, sigma0):
     """(ivp, t_end, closed) of a front at rest in symmetric outflow
     (rho_l = rho_r, u_l = -u_r < 0): its strip mass drains to 0 linearly."""
     k1, _ = kappa_fluxes(0.0, *power_law_states(d)(0.0, d.R))
+    g = d.R ** (d.n - 1)
     return (so.FrontIVP(0.0, d.R, 0.0, sigma0, power_law_states(d), d.n),
-            3.0 * sigma0 / -k1, lambda t: (d.R + 0.0 * t, sigma0 + k1 * t))
+            3.0 * sigma0 / -k1, lambda t: (d.R + 0.0 * t, g * (sigma0 + k1 * t)))
 
 
 @st.composite
@@ -418,6 +446,7 @@ def front_ivps(draw):
 
 @given(front_ivps())
 @example(shock_case(PseudoRiemannData(1, 2.0, 3.0, 0.5, 0.5, -4.0)))
+@example(shock_case(PseudoRiemannData(3, 0.3, 2.0, 40.0, 1.0, -2.5)))
 @example(drain_case(PseudoRiemannData(3, 0.5, 2.0, 2.0, -3.0, 3.0), 0.1))
 @settings(max_examples=40, deadline=None)
 def test_matches_scipy_dop853(case):
@@ -435,43 +464,103 @@ def test_matches_scipy_dop853(case):
         return
     assert ours.reached_origin == bool(ref.t_events[0].size)
     assert ours.t_end == pytest.approx(ref.t[-1], rel=1e-9)
-    n = ivp.n
-    # the common end is left out: at an origin hit with n >= 2 the front
-    # mass sigma xi^(n-1) is inf * 0 there
-    grid = np.linspace(ivp.t0, min(ours.t_end, ref.t[-1]), 33)[:-1]
-    xi, _, sigma = ours(grid)
-    xi_ref, _, sigma_ref = ref.sol(grid)
-    xi_cf, sigma_cf = closed(grid)
-    mass, mass_ref = sigma * xi ** (n - 1), sigma_ref * xi_ref ** (n - 1)
-    mass_cf = sigma_cf * xi_cf ** (n - 1)
-    xi_scale = max(float(np.max(np.abs(xi_ref))), ivp.xi0)
-    assert np.max(np.abs(xi - xi_ref)) <= 1e-8 * xi_scale
-    # two runs of one method agree to 1e-8, or to the global error of the
-    # reference where that is larger: rounding-level differences in the
-    # error estimate move the step sequence
-    m_scale = np.max(np.abs(mass_ref))
-    ref_err = np.max(np.abs(mass_ref - mass_cf))
-    assert np.max(np.abs(mass - mass_ref)) <= 1e-8 * m_scale + 10 * ref_err
+    # against scipy's interpolant: the samples up to the common end, and
+    # ours' interpolant on a grid short of it, where sigma xi^(n-1) is
+    # inf * 0 at an n >= 2 origin hit
+    end = min(ours.t_end, ref.t[-1])
+    grid = np.linspace(ivp.t0, end, 33)[:-1]
+    xi_g, _, sigma_g = ours(grid)
+    for ts, xi, mass in ((np.minimum(ours.t, end), ours.xi, ours.mass),
+                         (grid, xi_g, sigma_g * xi_g ** (ivp.n - 1))):
+        xi_ref, _, mass_ref = ref.sol(ts)
+        xi_cf, mass_cf = closed(ts)
+        xi_scale = max(float(np.max(np.abs(xi_ref))), ivp.xi0)
+        assert np.max(np.abs(xi - xi_ref)) <= 1e-8 * xi_scale
+        # two runs of one method agree to 1e-8, or to the global error of
+        # the reference where that is larger: rounding-level differences in
+        # the error estimate move the step sequence
+        m_scale = np.max(np.abs(mass_ref))
+        ref_err = np.max(np.abs(mass_ref - mass_cf))
+        assert np.max(np.abs(mass - mass_ref)) <= 1e-8 * m_scale + 10 * ref_err
 
 
 def test_counters_match_right_hand_side_calls():
-    # the post-absorption front of the worked datum: its early steps reject
+    # the pinned n = 3 front: one of its steps rejects
     calls = []
+    states = power_law_states(PINNED)
 
-    def states(t, xi):
+    def counting(t, xi):
         calls.append(t)
-        return 0.0, 0.0, 1.0 / xi, -1.0
+        return states(t, xi)
 
-    ivp = so.FrontIVP(1.0, 1.0, 0.0, CONST_FRONT.sigma(1.0), states, 2)
-    traj = so.integrate_front(ivp, 3.85)
+    ivp = so.FrontIVP(0.0, PINNED.R, 0.3, 0.2, counting, PINNED.n)
+    traj = so.integrate_front(ivp, 2.0)
     steps = traj.t.size - 1
     assert traj.rejected > 0
     # the first-step guess takes 2 evaluations, each attempted step 12
     assert traj.nfev == len(calls) == 2 + 12 * (steps + traj.rejected)
-    traj(2.0)   # builds the interpolant: 3 more per step
+    traj(1.0)   # builds the interpolant: 3 more per step
     assert traj.nfev == len(calls) == 2 + 12 * (steps + traj.rejected) + 3 * steps
-    traj(3.0)
+    traj(1.5)
     assert traj.nfev == len(calls)
+
+
+# ---------------------------------------------------------------------------
+# singular ends: the origin hit of an n >= 2 front, and mass exhaustion
+
+def test_n2_front_reaches_the_origin():
+    # sigma ~ xi^(1-n) blows up at the hit, where steps in sigma stalled
+    # ("integration stalled at t=0.0561225"); the mass amp t stays finite
+    d = PseudoRiemannData(n=2, R=1.0, rho_l=0.0386, rho_r=3.25, u_l=0.0,
+                          u_r=-19.76)
+    front = xr._const_front(d)
+    t_hit = d.R / -front.v0
+    traj = so.integrate_front(closed_form_ivp(d, 8.4e-5), 1.5 * t_hit)
+    assert traj.reached_origin
+    assert traj.t_end == pytest.approx(t_hit, rel=1e-9)
+    assert t_hit == pytest.approx(0.0561225353, rel=1e-9)
+    assert traj.mass[-1] == pytest.approx(front.mass(t_hit), rel=1e-9)
+
+
+@st.composite
+def inward_fronts(draw):
+    """Delta-shock data whose front moves inward, n = 2..4, decades of R,
+    density and speed."""
+    decade = st.floats(min_value=-2.0, max_value=2.0)
+    n = draw(st.integers(2, 4))
+    R, rho_l, rho_r = (10.0 ** draw(decade) for _ in range(3))
+    u_r = -10.0 ** draw(decade)
+    d = PseudoRiemannData(n, R, rho_l, rho_r, u_r + 10.0 ** draw(decade), u_r)
+    assume(xr._const_front(d).v0 < 0)
+    return d
+
+
+@given(inward_fronts())
+@settings(max_examples=40, deadline=None)
+def test_inward_fronts_reach_the_origin(d):
+    front = xr._const_front(d)
+    t_hit = d.R / -front.v0
+    traj = so.integrate_front(closed_form_ivp(d, 1e-3 * t_hit), 1.5 * t_hit)
+    assert traj.reached_origin
+    assert traj.t_end == pytest.approx(t_hit, rel=1e-8)
+    # the mass rate kappa1 = v [rho] - [rho u] amplifies the speed's error
+    # by |[rho] v| / amp against the rate itself
+    cond = 1.0 + abs(d.rho_r - d.rho_l) * -front.v0 / front.amp
+    assert traj.mass[-1] == pytest.approx(front.mass(t_hit), rel=1e-8 * cond)
+
+
+def test_mass_exhaustion_off_the_root_at_the_event_raises():
+    # symmetric outflow drains m to 0 at t = 0.25 with the speed on the
+    # root 0, but a denser right state moves the root for an instant around
+    # that time: no stage of the step that crosses m = 0 samples the
+    # instant, so the step is accepted and the check at the event raises
+    def states(t, xi):
+        return 1.0, -1.0, 2.0 if abs(t - 0.25) < 1e-3 else 1.0, 1.0
+
+    ivp = so.FrontIVP(0.0, 1.0, 0.0, 0.5, states, 1)
+    with pytest.raises(DomainError, match="strip mass vanished at t=0.25 "
+                       "with incompatible fluxes"):
+        so.integrate_front(ivp, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +568,9 @@ def test_counters_match_right_hand_side_calls():
 
 def test_benchmark_front_ode_check_holds():
     # the benchmark's bounds are ODE_XI_RTOL = 1e-7, ODE_SIGMA_RTOL = 1e-6
-    # and ODE_RESIDUAL_RTOL = 1e-10; these items reach xi_err 2.9e-11 and
-    # sigma_err 5.0e-9 (7.4e-10 and 1.5e-7 over j < 5000 of seeds 1..10,
-    # as with scipy's solve_ivp)
+    # and ODE_RESIDUAL_RTOL = 1e-10; stepped in the mass, these items reach
+    # xi_err 2.1e-12 and sigma_err 3.3e-10 (2.8e-12 and 1.5e-9 over j < 2000
+    # of seeds 1..10), where steps in sigma reached 2.9e-11 and 5.0e-9
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", path / "workloads.py")
@@ -491,6 +580,6 @@ def test_benchmark_front_ode_check_holds():
         for j in range(40):
             extra = workloads.front_ode_check(
                 workloads.make_verify_item(seed, j))
-            assert extra["xi_err"] <= 1e-9, (seed, j, extra)
-            assert extra["sigma_err"] <= 1e-7, (seed, j, extra)
+            assert extra["xi_err"] <= 1e-11, (seed, j, extra)
+            assert extra["sigma_err"] <= 2e-9, (seed, j, extra)
             assert extra["residual"] <= 1e-10, (seed, j, extra)
