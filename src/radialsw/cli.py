@@ -337,19 +337,13 @@ def cmd_solve(sc: Scenario, out_dir: str) -> int:
     return 0
 
 
-def _sample_text(plan: WavePlan, t_grid, r_grid) -> str:
-    """The rows of samples.csv from one evaluate_grid call over the whole
-    grid, joined in one pass once the grid's arrays are freed.  Fields
-    never need CSV quoting."""
-    return "".join(_sample_pieces(plan, np.asarray(t_grid, float),
-                                  np.asarray(r_grid, float)))
-
-
 def _sample_pieces(plan: WavePlan, t_grid, r_grid) -> list:
     """The five pieces of each samples.csv row, row after row: "r," "t,"
-    "rho," "u," and the tail "is_vacuum,m0,atom fields\n".  Each
-    distinct value is formatted once with its comma by one _texts call,
-    found by one sort of its bits so that -0.0 and 0.0 stay apart."""
+    "rho," "u," and the tail "is_vacuum,m0,atom fields\n", from one
+    evaluate_grid call over the float arrays t_grid and r_grid; fields
+    never need CSV quoting.  Each distinct value is formatted once with
+    its comma by one _texts call, found by one sort of its bits so that
+    -0.0 and 0.0 stay apart."""
     g = exact.evaluate_grid(plan, r_grid, t_grid)
     K, m = g.rho.shape
     allbits = np.concatenate(
@@ -378,7 +372,7 @@ def cmd_sample(sc: Scenario, out_dir: str) -> int:
     plan = exact.solve(sc.data, sc.t_max)
     _write(out_dir, "samples.csv",
            "r,t,rho,u,is_vacuum,m0,atom_radius,atom_sigma,atom_total_mass\n",
-           _sample_text(plan, sc.t_grid, sc.r_grid))
+           "".join(_sample_pieces(plan, sc.t_grid, sc.r_grid)))
     return 0
 
 

@@ -86,6 +86,15 @@ class PostAbsorptionSW:
     def sigma(self, t):
         return self.mass(t) * path_power(self.xi(t), 1 - self.n)
 
+    @property
+    def t_turn(self) -> Optional[float]:
+        """Time the front turns inward (speed 0); None when u_r >= 0 or
+        when u_r^-2 leaves float range (the turn never comes)."""
+        try:
+            return (self.u_r ** -2 - self.D) / self.C if self.u_r < 0 else None
+        except OverflowError:
+            return None
+
     def times_at(self, x, lo, hi):
         """With s = sqrt(Ct+D), xi(t) = x reads u_r s^2 + 2 s + (C(E-x) -
         u_r D) = 0; its roots come from the cancellation-free pair q/a,
@@ -126,13 +135,17 @@ def classify(data: PseudoRiemannData) -> str:
 
 def first_root_speed(rho0: float, u0: float, rho1: float, u1: float) -> float:
     """Physical constant front speed 1v0 = (u1 sqrt(rho1) + u0 sqrt(rho0)) /
-    (sqrt(rho1) + sqrt(rho0)); a convex combination of u0 and u1."""
+    (sqrt(rho1) + sqrt(rho0)); a convex combination of u0 and u1, taken
+    with the weights divided first where a product leaves float range."""
     if rho0 < 0 or rho1 < 0:
         raise DomainError("densities must be >= 0")
     if rho0 == 0.0 and rho1 == 0.0:
         raise DomainError("both densities vanish; no front speed")
     a, b = math.sqrt(rho0), math.sqrt(rho1)
-    return (u1 * b + u0 * a) / (a + b)
+    v = (u1 * b + u0 * a) / (a + b)
+    if not math.isfinite(v):
+        v = u1 * (b / (a + b)) + u0 * (a / (a + b))
+    return v
 
 
 def second_root_speed(rho0: float, u0: float, rho1: float, u1: float) -> Optional[float]:
@@ -146,14 +159,18 @@ def second_root_speed(rho0: float, u0: float, rho1: float, u1: float) -> Optiona
     return (u1 * b - u0 * a) / (b - a)
 
 
-def _require_delta_shock(data: PseudoRiemannData) -> None:
-    if classify(data) != DELTA_SHOCK:
-        raise DomainError("datum is not a delta shock case")
-
-
 def _const_front(data: PseudoRiemannData) -> ConstSpeedSW:
+    """The constant-speed shadow front; sqrt(rho_l rho_r) is taken as
+    sqrt(rho_l) sqrt(rho_r) where rho_l rho_r is not a normal double.
+    DomainError when amp leaves float range."""
     v0 = first_root_speed(data.rho_l, data.u_l, data.rho_r, data.u_r)
-    amp = math.sqrt(data.rho_l * data.rho_r) * (data.u_l - data.u_r)
+    prod = data.rho_l * data.rho_r
+    root = (math.sqrt(prod) if np.finfo(float).smallest_normal <= prod < INF
+            else math.sqrt(data.rho_l) * math.sqrt(data.rho_r))
+    amp = root * (data.u_l - data.u_r)
+    if not math.isfinite(amp):
+        raise DomainError("front amplitude sqrt(rho_l rho_r) (u_l - u_r)"
+                          " leaves float range")
     return ConstSpeedSW(data.R, v0, amp, data.n)
 
 
@@ -162,7 +179,8 @@ def absorption_time(data: PseudoRiemannData) -> Optional[float]:
     """Time the interior vacuum edge catches the front, exhausting the left
     region: t_in = R (sqrt(rho_r)+sqrt(rho_l))/(sqrt(rho_r)(u_l-u_r)).
     None when u_l <= 0 (the interior drains at the origin instead)."""
-    _require_delta_shock(data)
+    if classify(data) != DELTA_SHOCK:
+        raise DomainError("datum is not a delta shock case")
     if data.u_l <= 0:
         return None
     a, b = math.sqrt(data.rho_l), math.sqrt(data.rho_r)

@@ -150,8 +150,9 @@ class ParticleSystem:
         n = m.size
         v = np.empty(n + 1)
         v[n] = math.nan  # the sentinel _pool reads past the last row
-        y = np.multiply(u, t, out=v[:n])
-        y += a
+        with np.errstate(over="ignore"):   # compare refuses an infinite u t
+            y = np.multiply(u, t, out=v[:n])
+            y += a
         hits = np.flatnonzero(y[1:] <= y[:-1]).tolist()
         if not hits and not (n and y[0] <= 0.0):
             return self
@@ -245,7 +246,8 @@ def front_extract(ps: ParticleSystem) -> Optional[Tuple[float, float]]:
     k = int(np.argmax(masses))
     if masses[k] <= CLUSTER_FRACTION * (ps.total_mass() + ps.m0):
         return None
-    return float(ps._a[k] + ps._u[k] * ps.time), float(masses[k])
+    # Python floats: a position beyond float range is inf, with no warning
+    return ps._a.item(k) + ps._u.item(k) * ps.time, masses.item(k)
 
 
 def largest_absorption_time(ps: ParticleSystem) -> Optional[float]:

@@ -174,14 +174,8 @@ def _dot(weights, K):
 
 
 def _stage(f, t, y, h, K, s):
-    """f at stage s of the step h from (t, y); K holds the earlier stages
-    (the sums of _dot, inline)."""
-    x = v = g = 0.0
-    for j, w in _A[s]:
-        kx, kv, kg = K[j]
-        x += w * kx
-        v += w * kv
-        g += w * kg
+    """f at stage s of the step h from (t, y); K holds the earlier stages."""
+    x, v, g = _dot(_A[s], K)
     return f(t + _C[s] * h, (y[0] + x * h, y[1] + v * h, y[2] + g * h))
 
 

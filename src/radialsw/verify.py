@@ -27,8 +27,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # pass (2.6 MB over whole phases of the verify_ladder items)
 _PANELS_PER_PASS = 16
 
-QUAD_TOL = 1e-10           # absolute quadrature target per residual
-ORDER_FIT_FLOOR = 10 * QUAD_TOL
+ORDER_FIT_FLOOR = 1e-9     # quadrature noise floor of a residual
 LADDER_ORDER_GATE = 0.9    # least fitted order of a passing weak ladder
 EPS0 = 1e-2                # widest strip of the weak ladder
 ENTROPY_TOL = 1e-12        # largest dissipation cubic of a dissipative front
@@ -199,12 +198,6 @@ class TestFunction:
                 -8.0 * X * bx ** 3 * bt ** 4 / self.h_r,
                 -8.0 * T * bt ** 3 * bx ** 4 / self.h_t)
 
-    def value(self, r, t):
-        return self.jet(r, t)[0]
-
-    def dr(self, r, t):
-        return self.jet(r, t)[1]
-
     def dt(self, r, t):
         return self.jet(r, t)[2]
 
@@ -279,11 +272,8 @@ def _time_breakpoints(plan: WavePlan, eps: float, phi: TestFunction):
                 gap = fb.xi(lo) + ob - fa.xi(lo) - oa
                 pts.update(linear_times(0.0, fa.speed(lo) - fb.speed(lo), lo,
                                         gap, lo, hi))
-        for f in ph.fronts:
-            if isinstance(f, PostAbsorptionSW) and f.u_r < 0:
-                t_turn = (f.u_r ** -2 - f.D) / f.C
-                if lo < t_turn < hi:
-                    pts.add(t_turn)
+        turns = [f.t_turn for f in ph.fronts if isinstance(f, PostAbsorptionSW)]
+        pts.update(t for t in turns if t is not None and lo < t < hi)
     return sorted(pts)
 
 

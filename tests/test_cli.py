@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -443,7 +444,9 @@ def per_time_sample_text(plan, t_grid, r_grid):
 @settings(max_examples=150, deadline=None)
 def test_sample_text_matches_per_time_reference(sample):
     plan, r, t = sample
-    assert cli._sample_text(plan, t, r) == per_time_sample_text(plan, t, r)
+    pieces = cli._sample_pieces(plan, np.asarray(t, dtype=float),
+                                np.asarray(r, dtype=float))
+    assert "".join(pieces) == per_time_sample_text(plan, t, r)
 
 
 EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
@@ -646,6 +649,51 @@ def test_out_of_range_data_exit_1_before_writing(tmp_path, capsys, command,
     assert not out.exists() or not os.listdir(out)
 
 
+def test_tiny_density_product_keeps_the_front_mass(tmp_path):
+    # rho_l rho_r = 1e-340 underflowed to 0, so amp read 0 and the
+    # conservation check failed with Q_drift = 0.19 on a right plan
+    data = {"n": 2, "R": 1.0, "rho_l": 1e-170, "rho_r": 1e-170,
+            "u_l": 1.0, "u_r": -1.0}
+    code, out = run(tmp_path, "verify", write_config(tmp_path, data=data,
+                                                     t_max=1.0))
+    assert code == 0
+    assert "check conservation PASS" in (out / "verify.txt").read_text(
+        encoding="utf-8")
+
+
+def test_overflowing_products_write_finite_closed_forms(tmp_path):
+    # rho_l rho_r = 1e600: plan.txt held amp=inf, samples.csv a nan atom
+    data = {"n": 3, "R": 1e8, "rho_l": 1e300, "rho_r": 1e300,
+            "u_l": 1e-8, "u_r": -1.0}
+    cfg = write_config(tmp_path, data=data, t_max=1.0,
+                       sample={"r": [1e8], "t": [0.0, 0.5]})
+    code, out = run(tmp_path, "solve", cfg)
+    assert code == 0
+    assert "amp=1.0000000099999999e+300" in (out / "plan.txt").read_text(
+        encoding="utf-8")
+    code, out = run(tmp_path, "sample", cfg)
+    assert code == 0
+    assert sample_rows(out)[1][0]["atom_sigma"] == "0"
+    # u_r sqrt(rho_r) = 1e450: plan.txt held v0 inf
+    data = {"n": 1, "R": 1e300, "rho_l": 0.0, "rho_r": 1e300,
+            "u_l": -1e-8, "u_r": 1e300}
+    code, out = run(tmp_path, "solve", write_config(tmp_path, data=data,
+                                                    t_max=1.0))
+    assert code == 0
+    assert "v0 1.0000000000000001e+300\n" in (out / "plan.txt").read_text(
+        encoding="utf-8")
+
+
+def test_turning_time_beyond_float_range_verifies(tmp_path):
+    # the weak ladder's post-absorption turning time u_r^-2 = 1e400 ended
+    # in an OverflowError traceback
+    data = {"n": 1, "R": 0.005, "rho_l": 1.0, "rho_r": 1.0,
+            "u_l": 1.0, "u_r": -1e-200}
+    cfg = write_config(tmp_path, data=data, t_max=10.0,
+                       verify={"r_max": 100.0})
+    assert run(tmp_path, "verify", cfg)[0] == 0
+
+
 # ROADMAP item 9's lattice: magnitudes from the smallest subnormal to 1e300
 LATTICE = [5e-324, 1e-300, 1e-8, 1e-3, 1.0, 7.3, 1e3, 1e8, 1e300]
 SIGNED = [0.0, -0.0] + LATTICE + [-x for x in LATTICE]
@@ -692,11 +740,22 @@ def test_lattice_runs_exit_0_1_or_2(case):
         assert code in (0, 1, 2)
         if code == 2:
             assert not os.path.exists(out) or not os.listdir(out)
-        csv_path = os.path.join(out, "oracle.csv")
-        if code == 0 and os.path.exists(csv_path):  # no nan or inf written
-            with open(csv_path, encoding="utf-8") as fh:
-                cells = ",".join(fh.read().splitlines()[1:]).split(",")
-            assert all(not c or math.isfinite(float(c)) for c in cells)
+        if code != 0:
+            return
+        # no nan or inf written, except an unending phase's end in plan.txt
+        # and the r, t, rho, u fields of samples.csv (rho = inf at r = 0)
+        files = {}
+        for name in os.listdir(out):
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                files[name] = fh.read()
+        plan = re.sub(r"^(phase \d+ \[\S+, )inf\)", r"\1)",
+                      files.get("plan.txt", ""), flags=re.M)
+        assert not re.search(r"\b(nan|inf)\b", plan)
+        cells = [c for row in files.get("samples.csv", "").splitlines()[1:]
+                 for c in row.split(",")[6:]]
+        cells += [c for row in files.get("oracle.csv", "").splitlines()[1:]
+                  for c in row.split(",")]
+        assert all(not c or math.isfinite(float(c)) for c in cells)
 
 
 def test_default_r_grid_is_valid_for_small_R(tmp_path):
@@ -798,10 +857,11 @@ def test_oracle_values_beyond_float_range_exit_1_before_writing(tmp_path,
     cfg = write_config(tmp_path, data=data, t_max=1e300,
                        oracle={"N": [152], "times": [1e300], "r_max": 1000.0})
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
+        warnings.simplefilter("error")
         code, out = run(tmp_path, "oracle", cfg)
     assert code == 1
-    assert "oracle comparison leaves float range" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: oracle comparison leaves float range at t=1e+300\n")
     assert not out.exists() or not os.listdir(out)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -85,6 +86,10 @@ def test_first_root_speed_examples():
     assert xr.first_root_speed(1, 1, 1, -1) == 0.0
     assert xr.first_root_speed(4, 0, 1, -1) == pytest.approx(-1 / 3, abs=1e-15)
     assert xr.first_root_speed(0, 7, 1, -1) == -1.0
+    # u1 sqrt(rho1) = 1e450: the speed read inf, though it is u1
+    assert xr.first_root_speed(0.0, -1e-8, 1e300, 1e300) == 1e300
+    assert xr.first_root_speed(1e300, 1e300, 1e300, 1e300) == 1e300
+    assert xr.first_root_speed(1e300, 1e300, 1e300, -1e300) == 0.0
 
 
 def test_first_root_speed_degenerate():
@@ -101,6 +106,16 @@ def test_second_root_speed_examples():
     assert xr.second_root_speed(4, 1, 16, 3) == 5.0
     with pytest.raises(DomainError, match="densities must be >= 0"):
         xr.second_root_speed(1.0, 0.0, -1.0, 0.0)
+
+
+def test_const_front_amp_where_the_density_product_is_not_normal():
+    # rho_l rho_r = 1e-340 underflowed to 0, and 1e600 overflowed
+    front = xr._const_front(data(rho_l=1e-170, rho_r=1e-170))
+    assert front.amp == pytest.approx(2e-170, rel=1e-15)
+    front = xr._const_front(data(rho_l=1e300, rho_r=1e300, u_l=1e-8))
+    assert front.amp == pytest.approx(1.00000001e300, rel=1e-15)
+    with pytest.raises(DomainError, match="front amplitude"):
+        xr._const_front(data(rho_l=1e300, rho_r=1e300, u_l=1e300))
 
 
 @given(rhos, vels, rhos, vels)
@@ -228,6 +243,32 @@ def test_post_absorption_times_at_matches_xi():
     f = xr.post_absorption(data(1, 1.0, 1.0, 1.0, 2.0, 0.0))
     assert f == xr.PostAbsorptionSW(u_r=0.0, C=1.0, D=0.0, E=0.0, rho_r=1.0, n=1)
     assert f.times_at(f.xi(7.0), 1.0, 20.0) == [pytest.approx(7.0, rel=1e-14)]
+
+
+magnitudes = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
+
+
+@given(st.integers(1, 4), magnitudes, magnitudes, magnitudes, magnitudes,
+       magnitudes, st.sampled_from([-1.0, 0.0, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_post_absorption_turns_inward_at_t_turn(n, R, rho_l, rho_r, u_l,
+                                                mag, sign):
+    u_r = sign * mag if sign <= 0 else u_l * mag / (1 + mag)  # u_r < u_l
+    f = xr.post_absorption(data(n, R, rho_l, rho_r, u_l, u_r))
+    if u_r >= 0:
+        assert f.t_turn is None
+        return
+    t = f.t_turn
+    # rounding u_r^-2 - D and adding D back scales the error with |D| u_r^2
+    ulps = abs(u_r) * sys.float_info.epsilon * (1 + abs(f.D) * u_r ** 2)
+    assert abs(f.speed(t)) <= 4 * ulps
+    h = 1e-3 * u_r ** -2 / f.C   # C t + D moves by 1e-3 of u_r^-2
+    assert f.speed(t - h) > 0 > f.speed(t + h)
+
+
+def test_t_turn_beyond_float_range_is_none():
+    # u_r^-2 = 1e400 raised OverflowError
+    assert xr.post_absorption(data(u_l=1.0, u_r=-1e-200)).t_turn is None
 
 
 @st.composite

@@ -1,5 +1,8 @@
-"""Smoke test: every script in scripts/ runs to completion on tiny inputs."""
+"""Smoke test: every script in scripts/ runs to completion on tiny inputs;
+and the benchmark's tracer finds every name it wraps."""
+import ast
 import hashlib
+import importlib
 import importlib.util
 import json
 import os
@@ -123,3 +126,36 @@ def test_bench_pairs_summary_on_canned_runs():
                                "[232,", "236]", "92", "[90,", "94]", "4/5",
                                "yes"]
     assert len(rows) == 4
+
+
+def tracer_targets(path):
+    """(owner, attr) of every tr.wrap(owner, "attr", ...) and
+    tr.count(owner, "attr", ...) call in the file, owner as its dotted
+    source text."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return [(ast.unparse(node.args[0]), node.args[1].value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("wrap", "count")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "tr"]
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/run.py --trace 1 patches these names; a missing one fails
+    # only there, with a KeyError or AttributeError
+    path = os.path.join(ROOT, "perfbench", "run.py")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    targets = tracer_targets(path)
+    assert len(targets) == text.count("tr.wrap(") + text.count("tr.count(")
+    for owner_text, attr in targets:
+        head, *rest = owner_text.split(".")
+        owner = importlib.import_module("radialsw." + head)
+        for name in rest:
+            owner = getattr(owner, name)
+        # resolved as Tracer does: a class's own attribute, a module's any
+        if isinstance(owner, type):
+            assert attr in owner.__dict__, (owner_text, attr)
+        else:
+            assert callable(getattr(owner, attr, None)), (owner_text, attr)

@@ -175,24 +175,24 @@ def test_test_function_rejects_non_finite_fields(field, bad):
 
 def test_test_function_shape_and_boundary():
     phi = vf.TestFunction(r_c=1.0, t_c=1.0, h_r=0.4, h_t=0.5)
-    assert phi.value(1.0, 1.0) == 1.0
-    assert np.all(phi.value(np.array([0.59, 1.41]), 1.0) == 0.0)
-    assert phi.value(1.0, 1.51) == 0.0
+    assert phi.jet(1.0, 1.0)[0] == 1.0
+    assert np.all(phi.jet(np.array([0.59, 1.41]), 1.0)[0] == 0.0)
+    assert phi.jet(1.0, 1.51)[0] == 0.0
     # phi and its gradient vanish on the support boundary (up to roundoff
     # in the edge coordinate itself)
     for r in (phi.r_lo, phi.r_hi):
-        assert abs(phi.value(r, 1.0)) <= 1e-30
-        assert abs(phi.dr(r, 1.0)) <= 1e-30
-    assert np.all(phi.value(np.linspace(0.7, 1.3, 33), 1.2) >= 0.0)
+        assert abs(phi.jet(r, 1.0)[0]) <= 1e-30
+        assert abs(phi.jet(r, 1.0)[1]) <= 1e-30
+    assert np.all(phi.jet(np.linspace(0.7, 1.3, 33), 1.2)[0] >= 0.0)
 
 
 def test_test_function_derivatives_match_fd():
     phi = vf.TestFunction(r_c=1.0, t_c=1.0, h_r=0.4, h_t=0.5)
     h = 1e-6
     for r, t in ((0.9, 1.1), (1.13, 0.77), (1.3, 1.4)):
-        fd_r = (phi.value(r + h, t) - phi.value(r - h, t)) / (2 * h)
-        fd_t = (phi.value(r, t + h) - phi.value(r, t - h)) / (2 * h)
-        assert phi.dr(r, t) == pytest.approx(float(fd_r), abs=1e-8)
+        fd_r = (phi.jet(r + h, t)[0] - phi.jet(r - h, t)[0]) / (2 * h)
+        fd_t = (phi.jet(r, t + h)[0] - phi.jet(r, t - h)[0]) / (2 * h)
+        assert phi.jet(r, t)[1] == pytest.approx(float(fd_r), abs=1e-8)
         assert phi.dt(r, t) == pytest.approx(float(fd_t), abs=1e-8)
 
 
@@ -522,7 +522,7 @@ def test_nonconstant_front_production_positive_before_sign_change():
     def production(t):
         xi, xid, _, rho_l, u_l = map(float, so.nonentropic_example(t))
         cub = vf.entropy_lhs(rho_l, u_l, 1.0 / xi, 0.0, xid)
-        return cub * float(phi.value(xi, t))
+        return cub * float(phi.jet(xi, t)[0])
 
     from scipy.integrate import quad
     val, _ = quad(production, phi.t_lo, phi.t_hi)
@@ -534,7 +534,7 @@ def test_default_test_function_properties():
     phi = vf.default_test_function(plan)
     assert phi.r_lo > 1e-2  # clear of the origin with the widest strip
     assert phi.t_lo >= 0.0
-    assert phi.value(phi.r_c, phi.t_c) == 1.0
+    assert phi.jet(phi.r_c, phi.t_c)[0] == 1.0
     contact = xr.solve(PseudoRiemannData(2, 1.0, 1.0, 1.0, 0.5, 0.5), 4.0)
     assert vf.default_test_function(contact) is None
 
