@@ -21,9 +21,6 @@ from .core import (
     ConfigError, DomainError, PseudoRiemannData, WavePlan, surface_area,
 )
 from . import exact_riemann as exact
-from . import oracle as oracle_mod
-from . import sw_ode
-from . import verify
 
 SCHEMA = "radialsw-scenario-1"
 _FMT = "%.17g"
@@ -178,6 +175,7 @@ def _text_pass(x) -> list:
 
 @dataclass
 class Scenario:
+    """A loaded scenario: the datum, the grids and each command's settings."""
     data: PseudoRiemannData
     t_max: float
     r_grid: np.ndarray
@@ -377,6 +375,7 @@ def cmd_sample(sc: Scenario, out_dir: str) -> int:
 
 
 def cmd_verify(sc: Scenario, out_dir: str) -> int:
+    from . import verify
     plan = exact.solve(sc.data, sc.t_max)
     lines = []
     failures = []
@@ -424,6 +423,7 @@ def cmd_verify(sc: Scenario, out_dir: str) -> int:
 
 
 def cmd_oracle(sc: Scenario, out_dir: str) -> int:
+    from . import oracle as oracle_mod
     plan = exact.solve(sc.data, max(sc.t_max, max(sc.oracle_times)))
     rows = ["t,N,pos_exact,pos_oracle,mass_exact,mass_oracle,m0_exact,"
             "m0_oracle"]
@@ -443,6 +443,7 @@ def _example64_entropy(ts):
     """Closed forms (xi, xi_dot, sigma, rho_l, u_l) of the nonconstant-speed
     front at times ts, and its dissipation cubic against the outer state
     (1/xi, 0) at each time."""
+    from . import sw_ode, verify
     xi, xid, sg, rl, ul = sw_ode.nonentropic_example(ts)
     lhs = [verify.entropy_lhs(float(rl[k]), float(ul[k]),
                               1.0 / float(xi[k]), 0.0, float(xid[k]))
@@ -451,6 +452,7 @@ def _example64_entropy(ts):
 
 
 def cmd_example64(sc: Scenario, out_dir: str) -> int:
+    from . import sw_ode
     ts = np.linspace(0.1, 5.0, 99)
     (xi, xid, sg, rl, ul), lhs = _example64_entropy(ts)
     res1, res2 = sw_ode.ode_residual(

@@ -174,6 +174,18 @@ def _const_front(data: PseudoRiemannData) -> ConstSpeedSW:
     return ConstSpeedSW(data.R, v0, amp, data.n)
 
 
+def _quotient(num, den) -> float:
+    """prod(num) / prod(den) of finite nonzero factors, the products'
+    exponents summed apart from their mantissas: a product beyond float
+    range does not spoil a quotient within it.  +-inf beyond float range."""
+    fn, fd = [math.frexp(x) for x in num], [math.frexp(x) for x in den]
+    m = math.prod(f for f, _ in fn) / math.prod(f for f, _ in fd)
+    try:
+        return math.ldexp(m, sum(k for _, k in fn) - sum(k for _, k in fd))
+    except OverflowError:
+        return math.copysign(INF, m)
+
+
 @in_float_range
 def absorption_time(data: PseudoRiemannData) -> Optional[float]:
     """Time the interior vacuum edge catches the front, exhausting the left
@@ -184,7 +196,11 @@ def absorption_time(data: PseudoRiemannData) -> Optional[float]:
     if data.u_l <= 0:
         return None
     a, b = math.sqrt(data.rho_l), math.sqrt(data.rho_r)
-    return data.R * (b + a) / (b * (data.u_l - data.u_r))
+    num, den = data.R * (b + a), b * (data.u_l - data.u_r)
+    if num < INF and den < INF:
+        return num / den
+    # a product left float range; t_in need not
+    return _quotient((data.R, b + a), (b, data.u_l - data.u_r))
 
 
 @in_float_range
@@ -200,8 +216,11 @@ def post_absorption(data: PseudoRiemannData) -> PostAbsorptionSW:
     t_in = absorption_time(data)
     if t_in is None:
         raise DomainError("datum has no finite absorption time")
-    C = 2.0 * data.rho_r / (data.R * data.rho_l * (data.u_l - data.u_r))
-    den = data.rho_l * (data.u_l - data.u_r) ** 2
+    du = data.u_l - data.u_r
+    prod = data.R * data.rho_l * du
+    C = (2.0 * data.rho_r / prod if prod < INF
+         else _quotient((2.0, data.rho_r), (data.R, data.rho_l, du)))
+    den = data.rho_l * du ** 2
     D = (data.rho_l - data.rho_r) / den
     E = (data.R / data.rho_r) * (data.rho_r - data.rho_l)
     if not (0.0 < C < INF and den < INF and math.isfinite(D)

@@ -244,7 +244,14 @@ def front_extract(ps: ParticleSystem) -> Optional[Tuple[float, float]]:
     if masses.size == 0:
         return None
     k = int(np.argmax(masses))
-    if masses[k] <= CLUSTER_FRACTION * (ps.total_mass() + ps.m0):
+    top, m0 = masses.item(k), ps.m0
+    if 2.0 * top * masses.size + m0 < math.inf:  # bounds the rounded total
+        total = ps.total_mass() + m0
+    else:  # the total may leave float range: decide in units of 2**e
+        e = math.frexp(top)[1]
+        top = math.ldexp(top, -e)
+        total = float(np.ldexp(masses, -e).sum()) + math.ldexp(m0, -e)
+    if top <= CLUSTER_FRACTION * total:
         return None
     # Python floats: a position beyond float range is inf, with no warning
     return ps._a.item(k) + ps._u.item(k) * ps.time, masses.item(k)

@@ -684,6 +684,49 @@ def test_overflowing_products_write_finite_closed_forms(tmp_path):
         encoding="utf-8")
 
 
+def test_absorption_where_the_products_overflow(tmp_path):
+    # R (sqrt(rho_l) + sqrt(rho_r)) = 2e310: plan.txt held no event and
+    # one unending phase in which the vacuum edge overtook the front
+    data = {"n": 1, "R": 1e300, "rho_l": 1e20, "rho_r": 1e20,
+            "u_l": 1.0, "u_r": -1.0}
+    code, out = run(tmp_path, "solve", write_config(tmp_path, data=data,
+                                                    t_max=1e301))
+    assert code == 0
+    plan = (out / "plan.txt").read_text(encoding="utf-8")
+    events = dict(ln.split()[1:] for ln in plan.splitlines()
+                  if ln.startswith("event "))
+    assert float(events["t_in"]) == 1e300
+    assert "  front ShadowWave post-absorption C=" in plan
+
+
+@pytest.mark.parametrize("data, times, fronts", [
+    # the cell masses sum to 2e308 and more: front masses 2e307 and 4e307
+    ({"n": 1, "R": 1.0, "rho_l": 1e307, "rho_r": 1e307, "u_l": 1.0,
+      "u_r": -1.0}, [0.5, 1.0], [2e307, 4e307]),
+    ({"n": 4, "R": 0.001, "rho_l": 1e300, "rho_r": 1e300, "u_l": -5e-324,
+      "u_r": -5e-324}, [1e-8, 0.001, 0.001], [None, None, None]),
+], ids=["n1_front", "n4_no_front"])
+def test_oracle_total_mass_beyond_float_range(tmp_path, capsys, data, times,
+                                              fronts):
+    # numpy's sum overflowed: "overflow encountered in reduce" on stderr,
+    # and no cluster could reach 5 % of an infinite total
+    N, r_max = (100, 10.0) if data["n"] == 1 else (146, 1e8)
+    cfg = write_config(tmp_path, data=data, oracle={
+        "N": [N], "r_max": r_max, "times": times})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "oracle", cfg)
+    assert code == 0 and capsys.readouterr().err == ""
+    lines = (out / "oracle.csv").read_text(encoding="utf-8").splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    for row, mass in zip(rows, fronts):
+        if mass is None:
+            assert row["pos_oracle"] == row["mass_oracle"] == ""
+        else:
+            assert float(row["mass_oracle"]) == pytest.approx(mass, rel=1e-12)
+            assert float(row["mass_exact"]) == pytest.approx(mass, rel=1e-12)
+
+
 def test_turning_time_beyond_float_range_verifies(tmp_path):
     # the weak ladder's post-absorption turning time u_r^-2 = 1e400 ended
     # in an OverflowError traceback
@@ -1023,6 +1066,38 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+LAZY_MODULES = ("radialsw.verify", "radialsw.oracle", "radialsw.sw_ode",
+                "numpy.polynomial", "fractions")
+
+
+@pytest.mark.parametrize("command, section, loaded", [
+    ("solve", {}, []),
+    ("sample", {}, []),
+    ("verify", {"verify": {"example64": False}}, ["radialsw.verify"]),
+    ("oracle", {"oracle": {"N": [10], "times": [0.5]}}, ["radialsw.oracle"]),
+    ("example64", {}, ["radialsw.sw_ode", "radialsw.verify"]),
+])
+def test_each_command_imports_only_what_it_runs(tmp_path, command, section,
+                                                loaded):
+    # a fresh interpreter's sys.modules after cli.main, among LAZY_MODULES
+    code = "; ".join([
+        "import sys, radialsw.cli",
+        "code = radialsw.cli.main(sys.argv[1:])",
+        "print(sorted(m for m in %r if m in sys.modules))" % (LAZY_MODULES,),
+        "sys.exit(code)"])
+    cfg = write_config(tmp_path, **section)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,23 @@ def test_underflowing_absorption_time_raises_domain_error():
             build(d)
 
 
+def test_absorption_where_the_products_overflow():
+    # R (b + a) = 2e310 read t_in = inf, and R rho_l (u_l - u_r) = 2e320
+    # read C = 0: the plan held one unending phase
+    d = data(n=1, R=1e300, rho_l=1e20, rho_r=1e20, u_l=1.0, u_r=-1.0)
+    assert xr.absorption_time(d) == pytest.approx(1e300, rel=1e-15)
+    assert xr.post_absorption(d).C == pytest.approx(1e-300, rel=1e-15)
+    plan = xr.solve(d, 1e301)
+    assert plan.events["t_in"] == pytest.approx(1e300, rel=1e-15)
+    assert isinstance(plan.phases[1].fronts[0], xr.PostAbsorptionSW)
+    # b (u_l - u_r) = 5e360 read t_in = inf / inf = nan, where
+    # t_in = (R / (u_l - u_r)) (1 + a / b) = 5.7e-47
+    d = data(n=1, R=3e172, rho_l=5.7e-272, rho_r=1e284, u_l=5e218,
+             u_r=5e-262)
+    want = d.R / (d.u_l - d.u_r) * (1.0 + math.sqrt(d.rho_l / d.rho_r))
+    assert xr.absorption_time(d) == pytest.approx(want, rel=1e-15)
+
+
 def test_origin_hit_time_examples():
     t_sw0 = xr.solve(WORKED, 1.0).events.get("t_sw0")
     assert t_sw0 == pytest.approx(4.0, rel=1e-12)

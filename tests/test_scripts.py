@@ -75,6 +75,21 @@ def test_output_digests_subset(tmp_path):
             assert all(float.fromhex(v) >= 0.0 for v in record["ode"].values())
 
 
+def test_cold_start_one_round_against_itself():
+    out = run_script("cold_start.py", [ROOT, ROOT, "--rounds", "1"]).stdout
+    rows = [ln.split() for ln in out.splitlines()]
+    walls = {row[0]: row for row in rows[2:7]}
+    assert sorted(walls) == sorted(
+        ["solve", "sample", "verify", "oracle", "example64"])
+    assert all(row[-1] in ("0/1", "1/1") for row in walls.values())
+    modules = {(row[0], row[1]) for row in rows[9:]}
+    # sample loads the package, cli, core and exact_riemann; example64 also
+    # sw_ode and verify
+    assert {m for c, m in modules if c == "sample"} == {
+        "radialsw", "radialsw.cli", "radialsw.core", "radialsw.exact_riemann"}
+    assert ("example64", "radialsw.sw_ode") in modules
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))

@@ -128,8 +128,10 @@ def test_front_beyond_truncation_radius_rejected():
 
 
 def test_conserved_totals_beyond_float_range_raise():
-    # a region term S coeff (b - a) overflows at t = 0
-    plan = xr.solve(PseudoRiemannData(4, 1e300, 1e-300, 1e300, 1e-3, -1e-8),
+    # a region term S coeff (b - a) overflows at t = 0; u_l < 0, so the
+    # plan has no absorption (with u_l = 1e-3 it absorbs at t_in ~ 1e303,
+    # where D ~ -1e606 leaves float range and solve raises)
+    plan = xr.solve(PseudoRiemannData(4, 1e300, 1e-300, 1e300, -1e-9, -1e-8),
                     1e-3)
     with pytest.raises(DomainError, match="conserved totals leave float"):
         vf.conserved_pair(plan, 0.0, 1e301)
@@ -149,6 +151,12 @@ def test_entropy_check_beyond_float_range_raises():
 
 # ---------------------------------------------------------------------------
 # test functions and quadrature
+
+def test_gauss_legendre_tables_hold_the_bits_of_leggauss():
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert vf._GL_X.tobytes() == x.tobytes()
+    assert vf._GL_W.tobytes() == w.tobytes()
+
 
 def test_test_function_support_rules():
     with pytest.raises(DomainError, match="inside r > 0"):
