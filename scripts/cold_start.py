@@ -1,26 +1,25 @@
 """Cold-start wall time of `python -m radialsw <command>` in two checkouts.
 
 Each round runs every command once per tree in a fresh interpreter,
-alternating which tree goes first, on the benchmark's minimal scenario of
-that command: perfbench/run.py's WORKED datum with its MINIMAL section
-(solve and example64 take the datum alone), read from this repository's
-perfbench/run.py.  Each round also runs every command once per tree with
-`-X importtime`.  Prints, per command, each tree's median wall time and
-quartiles, the median paired difference (change minus parent) and the
-number of rounds the change was faster; then, per command, the median
-`-X importtime` self milliseconds of each radialsw module either tree
-loaded ("-" where a tree did not load it).
+alternating which tree goes first, through perfbench/run.py's own
+`spawn_command` (loaded from this repository, read only): the benchmark's
+minimal scenario of that command, its WORKED datum with its MINIMAL
+section (solve and example64 take the datum alone).  Each round also runs
+every command once per tree with `-X importtime`.  Prints, per command,
+each tree's median wall time and quartiles, the median paired difference
+(change minus parent) and the number of rounds the change was faster;
+then, per command, the median `-X importtime` self milliseconds of each
+radialsw module either tree loaded ("-" where a tree did not load it).
+perfbench/run.py's `import_times` gives only cumulative times of the bare
+package, hence the self-time parser here.
 
     python scripts/cold_start.py ../parent ../change --rounds 20
 """
 import argparse
-import ast
-import json
+import importlib.util
 import os
-import subprocess
 import sys
 import tempfile
-from time import perf_counter
 
 import numpy as np
 
@@ -29,36 +28,24 @@ COMMANDS = ("solve", "sample", "verify", "oracle", "example64")
 SIDES = ("parent", "change")
 
 
-def minimal_scenarios() -> dict:
-    """{command: scenario} from the WORKED and MINIMAL literals of
-    perfbench/run.py, read without running it."""
-    with open(os.path.join(ROOT, "perfbench", "run.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    found = {node.targets[0].id: ast.literal_eval(node.value)
-             for node in tree.body if isinstance(node, ast.Assign)
-             and isinstance(node.targets[0], ast.Name)
-             and node.targets[0].id in ("WORKED", "MINIMAL")}
-    return {command: dict({"schema": "radialsw-scenario-1",
-                           "data": found["WORKED"], "t_max": 5.0},
-                          **found["MINIMAL"].get(command, {}))
-            for command in COMMANDS}
+def load_spawner():
+    """perfbench/run.py as a module whose `spawn_command` takes a command
+    name in place of a workload name, for every one of COMMANDS."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    run.COMMANDS = {command: command for command in COMMANDS}
+    run.MINIMAL = dict({command: {} for command in COMMANDS}, **run.MINIMAL)
+    return run
 
 
-def run_once(checkout: str, command: str, config: str, out: str,
+def run_once(run, checkout: str, command: str, work: str,
              importtime: bool = False):
-    """(wall seconds, stderr) of one fresh `python -m radialsw` run."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    env.pop("RADIAL_SW_THREADS", None)
-    argv = [sys.executable] + (["-X", "importtime"] if importtime else []) + [
-        "-m", "radialsw", command, "--config", config, "--out", out]
-    t0 = perf_counter()
-    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True,
-                          text=True, timeout=120)
-    wall = perf_counter() - t0
-    if proc.returncode != 0:
-        raise RuntimeError("%s in %s exited %d: %s" % (
-            command, checkout, proc.returncode, proc.stderr[-500:]))
-    return wall, proc.stderr
+    """(wall seconds, stderr) of one fresh `python -m radialsw` run on the
+    checkout's src/."""
+    run.ROOT, run.SRC = checkout, os.path.join(checkout, "src")
+    return run.spawn_command(command, work, importtime)
 
 
 def self_ms(stderr: str) -> dict:
@@ -114,22 +101,17 @@ def main(argv=None) -> int:
             "change": os.path.abspath(args.change_dir)}
     walls = {side: {command: [] for command in COMMANDS} for side in SIDES}
     imports = {side: {command: [] for command in COMMANDS} for side in SIDES}
+    run = load_spawner()
     with tempfile.TemporaryDirectory() as work:
-        configs = {}
-        for command, scenario in minimal_scenarios().items():
-            configs[command] = os.path.join(work, "%s.json" % command)
-            with open(configs[command], "w", encoding="utf-8") as fh:
-                json.dump(scenario, fh)
-        out = os.path.join(work, "out")
         for i in range(args.rounds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for command in COMMANDS:
                 for side in order:
                     walls[side][command].append(run_once(
-                        dirs[side], command, configs[command], out)[0])
+                        run, dirs[side], command, work)[0])
                 for side in order:
                     imports[side][command].append(self_ms(run_once(
-                        dirs[side], command, configs[command], out, True)[1]))
+                        run, dirs[side], command, work, True)[1]))
     print("cold start, rounds=%d" % args.rounds)
     print(summarize(walls, imports))
     return 0

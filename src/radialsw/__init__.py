@@ -44,7 +44,7 @@ def __getattr__(name):
     held in the package namespace.  __import__ takes the interpreter's own
     import path, which -X importtime reports."""
     module = _SOURCE.get(name, name)
-    if module not in _EXPORTS and module != "cli":
+    if module not in _EXPORTS:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     __import__(__name__ + "." + module)
     value = sys.modules[__name__ + "." + module]

@@ -175,9 +175,9 @@ def _const_front(data: PseudoRiemannData) -> ConstSpeedSW:
 
 
 def _quotient(num, den) -> float:
-    """prod(num) / prod(den) of finite nonzero factors, the products'
-    exponents summed apart from their mantissas: a product beyond float
-    range does not spoil a quotient within it.  +-inf beyond float range."""
+    """prod(num) / prod(den), exponents summed apart from mantissas: a
+    product beyond float range does not spoil a quotient within it (+-inf
+    beyond it).  Where everything stays normal, the direct bits."""
     fn, fd = [math.frexp(x) for x in num], [math.frexp(x) for x in den]
     m = math.prod(f for f, _ in fn) / math.prod(f for f, _ in fd)
     try:
@@ -196,10 +196,9 @@ def absorption_time(data: PseudoRiemannData) -> Optional[float]:
     if data.u_l <= 0:
         return None
     a, b = math.sqrt(data.rho_l), math.sqrt(data.rho_r)
-    num, den = data.R * (b + a), b * (data.u_l - data.u_r)
-    if num < INF and den < INF:
-        return num / den
-    # a product left float range; t_in need not
+    if b * (data.u_l - data.u_r) == 0.0:
+        raise DomainError("absorption time leaves float range:"
+                          " sqrt(rho_r) (u_l - u_r) underflows to 0")
     return _quotient((data.R, b + a), (b, data.u_l - data.u_r))
 
 
@@ -217,9 +216,7 @@ def post_absorption(data: PseudoRiemannData) -> PostAbsorptionSW:
     if t_in is None:
         raise DomainError("datum has no finite absorption time")
     du = data.u_l - data.u_r
-    prod = data.R * data.rho_l * du
-    C = (2.0 * data.rho_r / prod if prod < INF
-         else _quotient((2.0, data.rho_r), (data.R, data.rho_l, du)))
+    C = _quotient((2.0, data.rho_r), (data.R, data.rho_l, du))
     den = data.rho_l * du ** 2
     D = (data.rho_l - data.rho_r) / den
     E = (data.R / data.rho_r) * (data.rho_r - data.rho_l)

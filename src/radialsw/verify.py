@@ -21,16 +21,7 @@ from .core import (
 )
 from .exact_riemann import PostAbsorptionSW
 
-# the 16-node Gauss-Legendre rule on [-1, 1], the bits of
-# np.polynomial.legendre.leggauss(16), from its nodes x > 0 and their weights
-_x = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-               0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-               0.9445750230732326, 0.9894009349916499])
-_w = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-               0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-               0.062253523938647456, 0.027152459411754176])
-_GL_X, _GL_W = np.concatenate([-_x[::-1], _x]), np.concatenate([_w[::-1], _w])
-del _x, _w
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # time panels per numpy pass of the weak quadrature: bounds the arrays of a
 # pass (2.6 MB over whole phases of the verify_ladder items)
 _PANELS_PER_PASS = 16

@@ -1075,9 +1075,11 @@ LAZY_MODULES = ("radialsw.verify", "radialsw.oracle", "radialsw.sw_ode",
 @pytest.mark.parametrize("command, section, loaded", [
     ("solve", {}, []),
     ("sample", {}, []),
-    ("verify", {"verify": {"example64": False}}, ["radialsw.verify"]),
+    ("verify", {"verify": {"example64": False}},
+     ["numpy.polynomial", "radialsw.verify"]),
     ("oracle", {"oracle": {"N": [10], "times": [0.5]}}, ["radialsw.oracle"]),
-    ("example64", {}, ["radialsw.sw_ode", "radialsw.verify"]),
+    ("example64", {},
+     ["numpy.polynomial", "radialsw.sw_ode", "radialsw.verify"]),
 ])
 def test_each_command_imports_only_what_it_runs(tmp_path, command, section,
                                                 loaded):

@@ -219,6 +219,17 @@ def test_absorption_where_the_products_overflow():
     assert xr.absorption_time(d) == pytest.approx(want, rel=1e-15)
 
 
+def test_post_absorption_where_the_product_of_C_underflows():
+    # R rho_l (u_l - u_r) = 2e-330 rounded to 0: solve raised
+    # ZeroDivisionError, where C = 1e230 and the plan absorbs at t_in
+    d = data(n=1, R=1e-200, rho_l=1e-100, rho_r=1e-100, u_l=1e-30,
+             u_r=-1e-30)
+    assert xr.post_absorption(d).C == pytest.approx(1e230, rel=1e-15)
+    plan = xr.solve(d, 1e-169)
+    assert plan.events["t_in"] == pytest.approx(1e-170, rel=1e-15)
+    assert isinstance(plan.phases[1].fronts[-1], xr.PostAbsorptionSW)
+
+
 def test_origin_hit_time_examples():
     t_sw0 = xr.solve(WORKED, 1.0).events.get("t_sw0")
     assert t_sw0 == pytest.approx(4.0, rel=1e-12)

@@ -152,12 +152,6 @@ def test_entropy_check_beyond_float_range_raises():
 # ---------------------------------------------------------------------------
 # test functions and quadrature
 
-def test_gauss_legendre_tables_hold_the_bits_of_leggauss():
-    x, w = np.polynomial.legendre.leggauss(16)
-    assert vf._GL_X.tobytes() == x.tobytes()
-    assert vf._GL_W.tobytes() == w.tobytes()
-
-
 def test_test_function_support_rules():
     with pytest.raises(DomainError, match="inside r > 0"):
         vf.TestFunction(r_c=0.2, t_c=1.0, h_r=0.3, h_t=0.5)
