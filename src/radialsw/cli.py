@@ -424,7 +424,7 @@ def cmd_verify(sc: Scenario, out_dir: str) -> int:
 
 def cmd_oracle(sc: Scenario, out_dir: str) -> int:
     from . import oracle as oracle_mod
-    plan = exact.solve(sc.data, max(sc.t_max, max(sc.oracle_times)))
+    plan = exact.solve(sc.data, sc.t_max)
     rows = ["t,N,pos_exact,pos_oracle,mass_exact,mass_oracle,m0_exact,"
             "m0_oracle"]
     for N in sc.oracle_N:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 import numpy as np
@@ -100,33 +100,27 @@ class PseudoRiemannData:
 
 @dataclass(frozen=True)
 class RegionProfile:
-    """State between two fronts: a power-law profile or vacuum.
-
-    For kind == "powerlaw", density is coeff * r^{1-n} and velocity is a
-    constant.  For vacuum the density is identically zero and any velocity
-    reported by samplers is a convenience, never used in fluxes.
-    """
-    kind: str  # "powerlaw" | "vacuum"
+    """State between two fronts: density coeff * r^{1-n} and a constant
+    velocity.  Vacuum is coeff == 0, and kind ("vacuum" or "powerlaw")
+    follows from it.  solve builds each vacuum region as RegionProfile(),
+    at velocity 0; the vacuum-fan velocity samplers report there is a
+    convenience, never used in fluxes."""
+    kind: str = field(init=False)
     coeff: float = 0.0
     velocity: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("powerlaw", "vacuum"):
-            raise DomainError("unknown region kind %r" % (self.kind,))
-        if self.kind == "powerlaw" and self.coeff < 0:
-            raise DomainError("power-law coefficient must be >= 0")
-
-    @staticmethod
-    def power_law(coeff: float, velocity: float) -> "RegionProfile":
-        return RegionProfile("powerlaw", float(coeff), float(velocity))
-
-    @staticmethod
-    def vacuum() -> "RegionProfile":
-        return RegionProfile("vacuum", 0.0, 0.0)
+        if not self.coeff >= 0:
+            raise DomainError("density coefficient must be >= 0, got %r"
+                              % (self.coeff,))
+        object.__setattr__(self, "coeff", float(self.coeff))
+        object.__setattr__(self, "velocity", float(self.velocity))
+        object.__setattr__(self, "kind",
+                           "vacuum" if self.coeff == 0.0 else "powerlaw")
 
     @property
     def is_vacuum(self) -> bool:
-        return self.kind == "vacuum"
+        return self.coeff == 0.0
 
     def density(self, r, n: int):
         """Pointwise density coeff * r^{1-n}; vacuum gives 0."""
@@ -232,15 +226,15 @@ class Phase:
     def p0(self, t):
         return self.p0_start + self.p0_slope * (t - self.t_start)
 
-    def region_index(self, r, t, xs=None):
+    def region_index(self, r, t, xs):
         """Index into regions of the region holding radius r at time t: the
         number of fronts with xi(t) <= r, so a front belongs to its outer
         side.  Counting, unlike a sorted search, tolerates fronts out of
         order by rounding.  r and t are floats or arrays that broadcast;
-        the result is an int array of their shape (0-d for floats).  xs,
-        when given, holds each front's xi(t), evaluated beforehand."""
+        the result is an int array of their shape (0-d for floats).  xs
+        holds each front's xi(t), evaluated beforehand."""
         idx = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(t)), dtype=int)
-        for x in (f.xi(t) for f in self.fronts) if xs is None else xs:
+        for x in xs:
             idx += x <= r
         return idx
 

@@ -231,8 +231,6 @@ def post_absorption(data: PseudoRiemannData) -> PostAbsorptionSW:
 
 def _ledger_slopes(inner: RegionProfile, S: float):
     """m0 and p0 rates while `inner` is the region adjacent to the origin."""
-    if inner.is_vacuum:
-        return 0.0, 0.0
     u = inner.velocity
     m0_slope = S * inner.coeff * max(0.0, -u)
     p0_slope = -S * inner.coeff * u * u if u != 0.0 else 0.0
@@ -245,9 +243,9 @@ def _waves(data: PseudoRiemannData, kind: str):
     """The fronts that leave R and the regions between them, innermost
     first, as lists for solve() to edit."""
     R, u_l, u_r = data.R, data.u_l, data.u_r
-    left = RegionProfile.power_law(data.rho_l, u_l)
-    right = RegionProfile.power_law(data.rho_r, u_r)
-    vac = RegionProfile.vacuum()
+    left = RegionProfile(data.rho_l, u_l)
+    right = RegionProfile(data.rho_r, u_r)
+    vac = RegionProfile()
     if kind == DELTA_SHOCK:
         return [_const_front(data)], [left, right]
     return {
@@ -300,7 +298,7 @@ def solve(data: PseudoRiemannData, t_max: float) -> WavePlan:
     if not regions[0].is_vacuum and data.u_l > 0:
         # the interior gas moves outward and leaves vacuum at the origin
         fronts.insert(0, LinearFront(VACUUM_EDGE, 0.0, data.u_l))
-        regions.insert(0, RegionProfile.vacuum())
+        regions.insert(0, RegionProfile())
     while True:
         name, t1 = _next_event(data, fronts, regions, t0)
         m0s, p0s = _ledger_slopes(regions[0], S)
@@ -361,9 +359,9 @@ def evaluate_grid(plan: WavePlan, r, t) -> GridSample:
     vacuum-fan velocity and m0.  Every value has the bits of a call per
     time.  At r = 0 a power-law region gives rho = coeff for n = 1 and inf
     for n >= 2 (the density coeff r^{1-n} is singular there), so
-    samples.csv then holds inf; so does a radius whose r^{1-n} leaves
-    float range.  A front position, vacuum-fan velocity or front sigma
-    that leaves float range raises DomainError."""
+    samples.csv then holds inf; so does a radius whose r^{1-n}, or whose
+    coeff r^{1-n}, leaves float range.  A front position, vacuum-fan
+    velocity or front sigma that leaves float range raises DomainError."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not (r >= 0).all():

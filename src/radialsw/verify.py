@@ -125,18 +125,16 @@ def conserved_pair(plan: WavePlan, t: float, r_max: float) -> ConservedPair:
     S = surface_area(plan.data.n)
     Q, M = ph.m0(t), ph.p0(t)
     for reg, a, b in zip(ph.regions, bounds[:-1], bounds[1:]):
-        if not reg.is_vacuum:
-            Q += S * reg.coeff * (b - a)
-            M += S * reg.coeff * reg.velocity * (b - a)
+        Q += S * reg.coeff * (b - a)
+        M += S * reg.coeff * reg.velocity * (b - a)
     for f in ph.fronts:
         if f.kind == SHADOW_WAVE:
             atom = S * f.mass(t)
             Q += atom
             M += atom * f.speed(t)
     out = ph.regions[-1]
-    if not out.is_vacuum:
-        Q += S * out.coeff * out.velocity * t
-        M += S * out.coeff * out.velocity ** 2 * t
+    Q += S * out.coeff * out.velocity * t
+    M += S * out.coeff * out.velocity ** 2 * t
     if not (math.isfinite(Q) and math.isfinite(M)):
         raise DomainError("conserved totals leave float range at t=%g" % t)
     return ConservedPair(Q, M)
@@ -233,8 +231,7 @@ def _strip_profile(ph, eps, r, t, paths):
     c r^{1-n}) and u its velocity, both 0 in vacuum."""
     if not ph.t_start <= np.min(t) <= np.max(t) < ph.t_end:
         raise DomainError("times span more than one phase")
-    live = [(0.0, 0.0) if p.is_vacuum else (p.coeff, p.velocity)
-            for p in ph.regions]
+    live = [(p.coeff, p.velocity) for p in ph.regions]
     c, u = np.array(live).T[:, ph.region_index(r, t, [x for x, _, _ in paths])]
     strip = np.zeros(c.shape, dtype=bool)
     h = 0.5 * eps

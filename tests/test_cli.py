@@ -770,6 +770,18 @@ def lattice_runs(draw):
     return draw(st.sampled_from(sorted(cli._COMMANDS))), cfg
 
 
+def _rho_inf_documented(r, n, rho_l, rho_r):
+    """The three places README lets samples.csv hold rho = inf: r = 0 for
+    n >= 2, r^{1-n} beyond float range, and coeff r^{1-n} beyond it."""
+    if r == 0.0:
+        return n >= 2
+    try:
+        rpow = r ** (1 - n)
+    except OverflowError:
+        return True
+    return max(rho_l, rho_r) * rpow == math.inf
+
+
 @given(lattice_runs())
 @settings(max_examples=500, deadline=None, derandomize=True)
 def test_lattice_runs_exit_0_1_or_2(case):
@@ -786,7 +798,7 @@ def test_lattice_runs_exit_0_1_or_2(case):
         if code != 0:
             return
         # no nan or inf written, except an unending phase's end in plan.txt
-        # and the r, t, rho, u fields of samples.csv (rho = inf at r = 0)
+        # and the rho = inf of samples.csv that README documents
         files = {}
         for name in os.listdir(out):
             with open(os.path.join(out, name), encoding="utf-8") as fh:
@@ -794,8 +806,16 @@ def test_lattice_runs_exit_0_1_or_2(case):
         plan = re.sub(r"^(phase \d+ \[\S+, )inf\)", r"\1)",
                       files.get("plan.txt", ""), flags=re.M)
         assert not re.search(r"\b(nan|inf)\b", plan)
-        cells = [c for row in files.get("samples.csv", "").splitlines()[1:]
-                 for c in row.split(",")[6:]]
+        samples = [row.split(",")
+                   for row in files.get("samples.csv", "").splitlines()[1:]]
+        d = cfg["data"]
+        for r, t, rho, u in ([float(c) for c in row[:4]] for row in samples):
+            # the lattice's radii are finite
+            assert math.isfinite(r) and math.isfinite(t) and math.isfinite(u)
+            assert not math.isnan(rho)
+            if math.isinf(rho):
+                assert _rho_inf_documented(r, d["n"], d["rho_l"], d["rho_r"])
+        cells = [c for row in samples for c in row[6:]]
         cells += [c for row in files.get("oracle.csv", "").splitlines()[1:]
                   for c in row.split(",")]
         assert all(not c or math.isfinite(float(c)) for c in cells)

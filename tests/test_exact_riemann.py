@@ -636,7 +636,8 @@ def test_evaluate_grid_density_bits_match_python_power(n):
     radii = np.linspace(0.01, 3.0, 2001)
     g = xr.evaluate_grid(plan, radii, 0.0)
     ph = plan.phase_at(0.0)
-    expected = [ph.regions[ph.region_index(r, 0.0)].coeff * r ** (1 - n)
+    xs = [f.xi(0.0) for f in ph.fronts]
+    expected = [ph.regions[ph.region_index(r, 0.0, xs)].coeff * r ** (1 - n)
                 for r in radii.tolist()]
     assert g.rho[0].tolist() == expected
 

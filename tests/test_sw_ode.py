@@ -484,6 +484,18 @@ def test_matches_scipy_dop853(case):
         assert np.max(np.abs(mass - mass_ref)) <= 1e-8 * m_scale + 10 * ref_err
 
 
+def test_front_at_rest_steps_as_scipy_dop853():
+    # equal states at rest give a zero right-hand side: the first step
+    # takes the flat-start rule and every error norm is exactly 0, so the
+    # step grows tenfold until t_end, at scipy's accepted times
+    ivp = so.FrontIVP(0.0, 1.5, 0.0, 0.3,
+                      lambda t, xi: (2.0 / xi, 0.0, 2.0 / xi, 0.0), 2)
+    ours, ref = so.integrate_front(ivp, 4.0), scipy_front(ivp, 4.0)
+    assert ours.t.tolist() == ref.t.tolist()
+    assert ours.rejected == 0 and not ours.reached_origin
+    assert ours.xi.tolist() == [1.5] * ours.t.size
+
+
 def test_counters_match_right_hand_side_calls():
     # the pinned n = 3 front: one of its steps rejects
     calls = []
